@@ -32,6 +32,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -176,56 +177,70 @@ void RunRealPhase(uint32_t record_bytes, uint64_t total_ops,
     }
   }
 
-  Workload wl(record_bytes);
-  std::vector<uint8_t> buf(record_bytes, 0x5A);
-  std::vector<double> lat_us;
-  lat_us.reserve(total_ops);
-  uint64_t issued = 0;
-  std::atomic<uint64_t> completed{0}, failed{0};
-  const uint64_t warmup = 256;
-  const uint64_t goal = warmup + total_ops;
+  // Closed loop of kWindow outstanding ops: every completion issues the
+  // next op from its callback on the loop thread, so the generator adds
+  // no pacing of its own.
+  struct ClosedLoop {
+    ClosedLoop(transport::LoopbackRig* r, CacheClient::CacheId c,
+               uint32_t bytes, uint64_t ops)
+        : rig(r), cache(c), record_bytes(bytes), goal(warmup + ops),
+          wl(bytes), buf(bytes, 0x5A) {
+      lat_us.reserve(ops);
+    }
 
-  auto pump = [&] {
-    rig.Call([&] {
-      while (issued < goal &&
-             issued - completed.load(std::memory_order_relaxed) < kWindow) {
-        const uint64_t addr = wl.NextAddr(record_bytes);
-        const bool is_read = wl.NextIsRead();
-        const uint64_t start = WallClockDriver::MonotonicNs();
-        const bool timed = issued >= warmup;
-        auto done = [&, start, timed](Status st) {
-          if (!st.ok()) failed.fetch_add(1, std::memory_order_relaxed);
-          if (timed) {
-            lat_us.push_back((WallClockDriver::MonotonicNs() - start) /
-                             1e3);
-          }
-          completed.fetch_add(1, std::memory_order_relaxed);
-        };
-        if (is_read) {
-          rig.client().Read(cache, addr, buf.data(), record_bytes,
-                            std::move(done));
-        } else {
-          rig.client().Write(cache, addr, buf.data(), record_bytes,
-                             std::move(done));
-        }
-        issued++;
-      }
-    });
+    transport::LoopbackRig* rig;
+    CacheClient::CacheId cache;
+    uint32_t record_bytes;
+    const uint64_t warmup = 256;
+    uint64_t goal;
+    Workload wl;
+    std::vector<uint8_t> buf;
+    std::vector<double> lat_us;
+    uint64_t issued = 0;
+    uint64_t failed = 0;
+    uint64_t t0 = 0;  // when the warm-up's last op completed
+    uint64_t t1 = 0;  // when the last op completed
+    std::atomic<uint64_t> completed{0};
+
+    void Issue() {
+      const uint64_t addr = wl.NextAddr(record_bytes);
+      const bool is_read = wl.NextIsRead();
+      const bool timed = issued >= warmup;
+      issued++;
+      const uint64_t start = WallClockDriver::MonotonicNs();
+      auto done = [this, start, timed](Status st) {
+        const uint64_t end = WallClockDriver::MonotonicNs();
+        if (!st.ok()) failed++;
+        if (timed) lat_us.push_back((end - start) / 1e3);
+        const uint64_t n =
+            completed.fetch_add(1, std::memory_order_release) + 1;
+        if (n == warmup) t0 = end;
+        if (n == goal) t1 = end;
+        if (issued < goal) Issue();
+      };
+      const Status st =
+          is_read ? rig->client().Read(cache, addr, buf.data(), record_bytes,
+                                       done)
+                  : rig->client().Write(cache, addr, buf.data(), record_bytes,
+                                        done);
+      if (!st.ok()) done(st);  // refused at the front door: a failed op
+    }
   };
-
-  while (completed.load(std::memory_order_acquire) < warmup) pump();
-  const uint64_t t0 = WallClockDriver::MonotonicNs();
-  while (completed.load(std::memory_order_acquire) < goal) {
-    pump();
-    ::usleep(20);
+  ClosedLoop gen(&rig, cache, record_bytes, total_ops);
+  rig.Call([&] {
+    for (uint32_t i = 0; i < kWindow; i++) gen.Issue();
+  });
+  // Wait off the loop: polling through rig.Call would wake it.
+  while (gen.completed.load(std::memory_order_acquire) < gen.goal) {
+    ::usleep(1000);
   }
-  const double secs = (WallClockDriver::MonotonicNs() - t0) / 1e9;
-  rig.Call([] {});  // synchronize lat_us writes
+  rig.Call([] {});  // synchronize the generator's loop-side writes
+  const double secs = (gen.t1 - gen.t0) / 1e9;
 
   out->real_ops_per_sec = secs > 0 ? total_ops / secs : 0;
-  out->real_p50_us = Percentile(lat_us, 0.50);
-  out->real_p99_us = Percentile(lat_us, 0.99);
-  out->failed = failed.load();
+  out->real_p50_us = Percentile(gen.lat_us, 0.50);
+  out->real_p99_us = Percentile(gen.lat_us, 0.99);
+  out->failed = gen.failed;
   rig.Call([&] { rig.client().Delete(cache); });
 }
 
@@ -275,19 +290,21 @@ int main(int argc, char** argv) {
   {
     std::ofstream out(out_path);
     out << "{\n";
-    for (size_t i = 0; i < results.size(); i++) {
-      const SizeResult& r = results[i];
+    for (const SizeResult& r : results) {
       char line[512];
       std::snprintf(
           line, sizeof(line),
           "  \"ycsb_real_%u\": {\"sim_ops_per_sec\": %g, "
           "\"real_ops_per_sec\": %g, \"real_p50_us\": %g, "
-          "\"real_p99_us\": %g, \"ratio\": %g}%s\n",
+          "\"real_p99_us\": %g, \"ratio\": %g},\n",
           r.record_bytes, r.sim_ops_per_sec, r.real_ops_per_sec,
-          r.real_p50_us, r.real_p99_us, r.ratio(),
-          i + 1 < results.size() ? "," : "");
+          r.real_p50_us, r.real_p99_us, r.ratio());
       out << line;
     }
+    // The machine that made the numbers: loopback throughput depends on
+    // how many cores the loop thread and the epoll workers spread over.
+    out << "  \"machine\": {\"cores\": " << std::thread::hardware_concurrency()
+        << ", \"ops\": " << total_ops << "}\n";
     out << "}\n";
     std::printf("wrote %s\n", out_path.c_str());
   }

@@ -157,7 +157,7 @@ class Fabric {
   /// Installs (or clears, with nullptr) the telemetry domain the NICs
   /// and queue pairs instrument themselves with. Not owned. Same
   /// pattern as the fault hooks: nullptr means no instrumentation.
-  void set_telemetry(telemetry::Telemetry* telemetry) {
+  virtual void set_telemetry(telemetry::Telemetry* telemetry) {
     telemetry_ = telemetry;
   }
   telemetry::Telemetry* telemetry() const { return telemetry_; }

@@ -89,16 +89,25 @@ struct ChainHopWire {
 };
 static_assert(sizeof(ChainHopWire) == 48, "chain hop wire layout");
 
-/// Serializes header + payload into one contiguous send buffer.
-inline std::vector<uint8_t> EncodeFrame(const FrameHeader& h,
-                                        const uint8_t* payload,
-                                        uint64_t payload_len) {
+/// One contiguous send buffer holding the header and room for
+/// `payload_len` payload bytes after it, for callers that assemble the
+/// payload in place.
+inline std::vector<uint8_t> NewFrame(const FrameHeader& h,
+                                     uint64_t payload_len) {
   FrameHeader hdr = h;
   hdr.payload_len = static_cast<uint32_t>(payload_len);
   std::vector<uint8_t> buf(sizeof(FrameHeader) + payload_len);
   std::memcpy(buf.data(), &hdr, sizeof(hdr));
+  return buf;
+}
+
+/// Serializes header + payload into one contiguous send buffer.
+inline std::vector<uint8_t> EncodeFrame(const FrameHeader& h,
+                                        const uint8_t* payload,
+                                        uint64_t payload_len) {
+  std::vector<uint8_t> buf = NewFrame(h, payload_len);
   if (payload_len != 0) {
-    std::memcpy(buf.data() + sizeof(hdr), payload, payload_len);
+    std::memcpy(buf.data() + sizeof(FrameHeader), payload, payload_len);
   }
   return buf;
 }

@@ -11,6 +11,7 @@
 #include <atomic>
 
 #include "common/logging.h"
+#include "telemetry/telemetry.h"
 
 namespace redy::transport {
 
@@ -116,17 +117,23 @@ Status SocketQueuePair::Connect(rdma::QueuePair* peer) {
     return Status::Unavailable("connect handshake failed");
   }
   conn_ = fab_->pool().AddConnection(fd, token_);
-  has_conn_ = true;
   connected_ = true;
   return Status::OK();
 }
 
-Status SocketQueuePair::CheckSendable() const {
+Status SocketQueuePair::CheckSendable() {
   if (broken_) return Status::Unavailable("QP is broken");
   if (remote_endpoint_) {
     return Status::FailedPrecondition("cannot post on an endpoint descriptor");
   }
-  if (!connected_ || !has_conn_) {
+  if (conn_ == nullptr) {
+    // A peer may have dialed us with the bind still in the loop's
+    // mailbox, while its first requests already landed in our memory.
+    if (WorkerPool::ConnRef accepted = fab_->TakeAcceptedConn(token_)) {
+      OnAccepted(accepted);
+    }
+  }
+  if (!connected_ || conn_ == nullptr) {
     return Status::FailedPrecondition("QP is not connected");
   }
   if (outstanding_ >= max_depth_) {
@@ -151,12 +158,11 @@ Status SocketQueuePair::PostWrite(uint64_t wr_id, const rdma::MemoryRegion* mr,
   // Snapshot at post time (verbs semantics): the frame owns its bytes,
   // so the caller may scribble over the source immediately.
   auto buf = EncodeFrame(h, mr->data() + local_offset, len);
-  pending_.emplace(next_op_token_,
-                   PendingOp{wr_id, rdma::Opcode::kWrite, nullptr, 0,
-                             static_cast<uint32_t>(len), {}});
-  next_op_token_++;
-  outstanding_++;
-  nic()->CountWqePosted();
+  PendingOp op;
+  op.wr_id = wr_id;
+  op.opcode = rdma::Opcode::kWrite;
+  op.len = static_cast<uint32_t>(len);
+  Park(std::move(op));
   fab_->pool().Send(conn_, std::move(buf));
   return Status::OK();
 }
@@ -175,12 +181,13 @@ Status SocketQueuePair::PostRead(uint64_t wr_id, rdma::MemoryRegion* mr,
   h.token = next_op_token_;
   h.offset = remote_offset;
   h.aux = len;
-  pending_.emplace(next_op_token_,
-                   PendingOp{wr_id, rdma::Opcode::kRead, mr, local_offset,
-                             static_cast<uint32_t>(len), {}});
-  next_op_token_++;
-  outstanding_++;
-  nic()->CountWqePosted();
+  PendingOp op;
+  op.wr_id = wr_id;
+  op.opcode = rdma::Opcode::kRead;
+  op.mr = mr;
+  op.local_offset = local_offset;
+  op.len = static_cast<uint32_t>(len);
+  Park(std::move(op));
   fab_->pool().Send(conn_, EncodeFrame(h, nullptr, 0));
   return Status::OK();
 }
@@ -195,12 +202,11 @@ Status SocketQueuePair::PostSend(uint64_t wr_id, const rdma::MemoryRegion* mr,
   h.type = static_cast<uint8_t>(FrameType::kSend);
   h.token = next_op_token_;
   auto buf = EncodeFrame(h, mr->data() + local_offset, len);
-  pending_.emplace(next_op_token_,
-                   PendingOp{wr_id, rdma::Opcode::kSend, nullptr, 0,
-                             static_cast<uint32_t>(len), {}});
-  next_op_token_++;
-  outstanding_++;
-  nic()->CountWqePosted();
+  PendingOp op;
+  op.wr_id = wr_id;
+  op.opcode = rdma::Opcode::kSend;
+  op.len = static_cast<uint32_t>(len);
+  Park(std::move(op));
   fab_->pool().Send(conn_, std::move(buf));
   return Status::OK();
 }
@@ -212,9 +218,9 @@ Status SocketQueuePair::PostChain(uint64_t wr_id, rdma::MemoryRegion* mr,
   if (num_hops == 0 || num_hops > rdma::kMaxChainHops) {
     return Status::InvalidArgument("bad chain length");
   }
-  uint64_t total_read = 0;
-  std::vector<ChainHopWire> desc(num_hops);
-  std::vector<uint8_t> wpay;
+  // Validate and size first; then assemble the one request frame (all
+  // descriptors, then the write hops' payloads) in place.
+  uint64_t write_bytes = 0;
   for (uint32_t i = 0; i < num_hops; i++) {
     const rdma::ChainHop& h = hops[i];
     if (!mr->InBounds(h.local_offset, h.len)) {
@@ -225,7 +231,23 @@ Status SocketQueuePair::PostChain(uint64_t wr_id, rdma::MemoryRegion* mr,
       return Status::InvalidArgument(
           "dependent hop needs a preceding >=8 B read hop");
     }
-    ChainHopWire& w = desc[i];
+    if (h.is_write) write_bytes += h.len;
+  }
+  FrameHeader fh;
+  fh.type = static_cast<uint8_t>(FrameType::kChain);
+  fh.token = next_op_token_;
+  fh.aux = num_hops;
+  std::vector<uint8_t> buf =
+      NewFrame(fh, num_hops * sizeof(ChainHopWire) + write_bytes);
+  uint8_t* desc = buf.data() + sizeof(FrameHeader);
+  uint8_t* wpay = desc + num_hops * sizeof(ChainHopWire);
+  PendingOp op;
+  op.wr_id = wr_id;
+  op.opcode = rdma::Opcode::kChain;
+  op.mr = mr;
+  for (uint32_t i = 0; i < num_hops; i++) {
+    const rdma::ChainHop& h = hops[i];
+    ChainHopWire w;
     w.rkey = h.key.rkey;
     w.epoch = h.key.epoch;
     w.remote_offset = h.remote_offset;
@@ -237,45 +259,52 @@ Status SocketQueuePair::PostChain(uint64_t wr_id, rdma::MemoryRegion* mr,
     if (h.is_write) {
       // Write-hop payloads snapshot at post time, like every other post.
       w.flags |= ChainHopWire::kIsWrite;
-      wpay.insert(wpay.end(), mr->data() + h.local_offset,
-                  mr->data() + h.local_offset + h.len);
+      std::memcpy(wpay, mr->data() + h.local_offset, h.len);
+      wpay += h.len;
     } else {
-      total_read += h.len;
+      op.landings[op.num_landings++] = Landing{h.local_offset, h.len};
+      op.len += static_cast<uint32_t>(h.len);
     }
+    std::memcpy(desc + i * sizeof(ChainHopWire), &w, sizeof(w));
   }
-  // One request frame carries all descriptors + write payloads; the
-  // responder executes the chain worker-side (ExecuteChain) and answers
-  // with one kChainResp, so the wire sees one request/one response.
-  std::vector<uint8_t> body(num_hops * sizeof(ChainHopWire) + wpay.size());
-  std::memcpy(body.data(), desc.data(), num_hops * sizeof(ChainHopWire));
-  if (!wpay.empty()) {
-    std::memcpy(body.data() + num_hops * sizeof(ChainHopWire), wpay.data(),
-                wpay.size());
-  }
-  FrameHeader h;
-  h.type = static_cast<uint8_t>(FrameType::kChain);
-  h.token = next_op_token_;
-  h.aux = num_hops;
-  PendingOp op{wr_id, rdma::Opcode::kChain, mr, 0,
-               static_cast<uint32_t>(total_read), std::move(desc)};
-  pending_.emplace(next_op_token_, std::move(op));
+  // The responder executes the chain worker-side (ExecuteChain) and
+  // answers with one kChainResp, so the wire sees one request/one
+  // response.
+  Park(std::move(op));
+  nic()->CountChainPosted();
+  fab_->pool().Send(conn_, std::move(buf));
+  return Status::OK();
+}
+
+void SocketQueuePair::Park(PendingOp op) {
+  pending_.push_back(std::move(op));
   next_op_token_++;
   outstanding_++;
   nic()->CountWqePosted();
-  nic()->CountChainPosted();
-  fab_->pool().Send(conn_, EncodeFrame(h, body.data(), body.size()));
-  return Status::OK();
 }
 
 void SocketQueuePair::CompleteOp(uint64_t op_token, StatusCode status,
                                  uint64_t aux, std::vector<uint8_t> payload) {
-  auto it = pending_.find(op_token);
-  if (it == pending_.end()) return;  // already flushed by Break()
-  const PendingOp op = it->second;
-  pending_.erase(it);
-  rdma::WorkCompletion wc{op.wr_id, op.opcode, status, op.len,
+  const uint64_t head = next_op_token_ - pending_.size();
+  if (op_token < head || op_token >= next_op_token_) {
+    return;  // already flushed by Break()
+  }
+  PendingOp& op = pending_[op_token - head];
+  op.acked = true;
+  op.status = status;
+  op.aux = aux;
+  op.payload = std::move(payload);
+  while (!pending_.empty() && pending_.front().acked) {
+    Retire(pending_.front());
+    pending_.pop_front();
+  }
+}
+
+void SocketQueuePair::Retire(PendingOp& op) {
+  rdma::WorkCompletion wc{op.wr_id, op.opcode, op.status, op.len,
                           nic()->sim()->Now()};
-  if (op.opcode == rdma::Opcode::kRead && status == StatusCode::kOk) {
+  const std::vector<uint8_t>& payload = op.payload;
+  if (op.opcode == rdma::Opcode::kRead && wc.status == StatusCode::kOk) {
     if (payload.size() == op.len && op.mr->InBounds(op.local_offset, op.len)) {
       std::memcpy(op.mr->data() + op.local_offset, payload.data(), op.len);
     } else {
@@ -285,16 +314,16 @@ void SocketQueuePair::CompleteOp(uint64_t op_token, StatusCode status,
   if (op.opcode == rdma::Opcode::kChain) {
     // Mirror the sim's counter placement: hops/aborts accrue on the
     // initiator NIC. `aux` is the responder's executed-hop count.
-    for (uint64_t i = 0; i < aux; i++) nic()->CountChainHop();
+    for (uint64_t i = 0; i < op.aux; i++) nic()->CountChainHop();
     if (wc.status == StatusCode::kOk) {
       if (payload.size() == op.len) {
         // Scatter the concatenated read payloads to each read hop's
         // local landing offset, in hop order.
         const uint8_t* from = payload.data();
-        for (const ChainHopWire& w : op.chain_hops) {
-          if (w.flags & ChainHopWire::kIsWrite) continue;
-          std::memcpy(op.mr->data() + w.local_offset, from, w.len);
-          from += w.len;
+        for (uint32_t i = 0; i < op.num_landings; i++) {
+          const Landing& l = op.landings[i];
+          std::memcpy(op.mr->data() + l.local_offset, from, l.len);
+          from += l.len;
         }
       } else {
         wc.status = StatusCode::kAborted;
@@ -340,10 +369,10 @@ void SocketQueuePair::Break() {
   if (broken_) return;
   broken_ = true;
   connected_ = false;
-  // Flush in post order (the map is keyed by the monotonically
-  // increasing op token), mirroring the simulated sequencer's in-order
-  // error flush.
-  for (const auto& [tok, op] : pending_) {
+  // Flush in post order (the ring's order), mirroring the simulated
+  // sequencer's in-order error flush.
+  for (size_t i = 0; i < pending_.size(); i++) {
+    const PendingOp& op = pending_[i];
     outstanding_--;
     nic()->CountWqeCompleted(false);
     send_cq_.Push(rdma::WorkCompletion{op.wr_id, op.opcode,
@@ -353,24 +382,24 @@ void SocketQueuePair::Break() {
   pending_.clear();
   // Async error doorbell so a parked poller re-sweeps and sees broken().
   send_cq_.Notify();
-  if (has_conn_) {
-    has_conn_ = false;
+  if (conn_ != nullptr) {
     fab_->pool().Close(conn_);
+    conn_.reset();
   }
 }
 
-void SocketQueuePair::OnAccepted(WorkerPool::ConnId conn) {
-  if (broken_ || has_conn_) {
+void SocketQueuePair::OnAccepted(const WorkerPool::ConnRef& conn) {
+  if (conn_ == conn) return;  // adopted early by a post
+  if (broken_ || conn_ != nullptr) {
     fab_->pool().Close(conn);
     return;
   }
   conn_ = conn;
-  has_conn_ = true;
   connected_ = true;
 }
 
 void SocketQueuePair::OnTransportClosed() {
-  has_conn_ = false;
+  conn_.reset();
   if (!broken_) Break();
 }
 
@@ -496,14 +525,12 @@ SocketFabric::SocketFabric(sim::Simulation* sim, WallClockDriver* driver,
   port_ = ntohs(addr.sin_port);
 
   WorkerPool::Handlers handlers;
-  handlers.on_frame = [this](WorkerPool::ConnId conn, uint64_t bound,
+  handlers.on_frame = [this](const WorkerPool::ConnRef& conn, uint64_t bound,
                              const FrameHeader& hdr,
                              std::vector<uint8_t> payload) {
     OnFrame(conn, bound, hdr, std::move(payload));
   };
-  handlers.on_close = [this](WorkerPool::ConnId conn, uint64_t bound) {
-    OnConnClosed(conn, bound);
-  };
+  handlers.on_close = [this](uint64_t bound) { OnConnClosed(bound); };
   pool_.Start(std::move(handlers));
   pool_.AddListener(lfd, [this](int fd) {
     // Accepted streams bind their QP token on the first kConnect frame.
@@ -522,6 +549,15 @@ rdma::Nic* SocketFabric::NicAt(net::ServerId server) {
   rdma::Nic* out = nic.get();
   nics_.emplace(server, std::move(nic));
   return out;
+}
+
+void SocketFabric::set_telemetry(telemetry::Telemetry* telemetry) {
+  rdma::Fabric::set_telemetry(telemetry);
+  pool_.set_command_counter(
+      telemetry == nullptr
+          ? nullptr
+          : telemetry->metrics().GetCounter(
+                "transport.worker_commands_enqueued"));
 }
 
 uint64_t SocketFabric::RegisterQp(SocketQueuePair* qp) {
@@ -560,11 +596,19 @@ bool SocketFabric::LookupSharedMr(uint32_t rkey, SharedMr* out) {
   return true;
 }
 
-void SocketFabric::OnFrame(WorkerPool::ConnId conn, uint64_t bound_token,
+void SocketFabric::OnFrame(const WorkerPool::ConnRef& conn,
+                           uint64_t bound_token,
                            const FrameHeader& hdr,
                            std::vector<uint8_t> payload) {
   switch (static_cast<FrameType>(hdr.type)) {
     case FrameType::kConnect: {
+      // Published before this worker parses (and the responder applies)
+      // anything behind the kConnect, so a QP that sees the peer's
+      // first request can adopt its stream ahead of the bind below.
+      {
+        std::lock_guard<std::mutex> lk(accept_mu_);
+        accepted_[hdr.aux] = conn;
+      }
       driver_->Post([this, token = hdr.aux, conn] {
         BindAcceptedConn(token, conn);
       });
@@ -631,8 +675,7 @@ void SocketFabric::OnFrame(WorkerPool::ConnId conn, uint64_t bound_token,
   pool_.Close(conn);  // unknown frame type: protocol violation
 }
 
-void SocketFabric::OnConnClosed(WorkerPool::ConnId conn, uint64_t bound_token) {
-  (void)conn;
+void SocketFabric::OnConnClosed(uint64_t bound_token) {
   if (bound_token == 0) return;
   driver_->Post([this, bound_token] { QpTransportClosed(bound_token); });
 }
@@ -751,8 +794,22 @@ uint8_t SocketFabric::ExecuteChain(const FrameHeader& hdr,
   return Code(StatusCode::kOk);
 }
 
+WorkerPool::ConnRef SocketFabric::TakeAcceptedConn(uint64_t qp_token) {
+  std::lock_guard<std::mutex> lk(accept_mu_);
+  auto it = accepted_.find(qp_token);
+  if (it == accepted_.end()) return nullptr;
+  WorkerPool::ConnRef conn = std::move(it->second);
+  accepted_.erase(it);
+  return conn;
+}
+
 void SocketFabric::BindAcceptedConn(uint64_t qp_token,
-                                    WorkerPool::ConnId conn) {
+                                    const WorkerPool::ConnRef& conn) {
+  {
+    std::lock_guard<std::mutex> lk(accept_mu_);
+    auto at = accepted_.find(qp_token);
+    if (at != accepted_.end() && at->second == conn) accepted_.erase(at);
+  }
   auto it = qp_registry_.find(qp_token);
   if (it == qp_registry_.end()) {
     pool_.Close(conn);
@@ -771,7 +828,7 @@ void SocketFabric::DeliverAck(uint64_t qp_token, uint64_t op_token,
 }
 
 void SocketFabric::HandleIncomingSend(uint64_t qp_token,
-                                      WorkerPool::ConnId conn,
+                                      const WorkerPool::ConnRef& conn,
                                       uint64_t op_token,
                                       std::vector<uint8_t> payload) {
   StatusCode status = StatusCode::kUnavailable;

@@ -1,8 +1,8 @@
 #ifndef REDY_TRANSPORT_SOCKET_FABRIC_H_
 #define REDY_TRANSPORT_SOCKET_FABRIC_H_
 
+#include <array>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/vec_deque.h"
 #include "rdma/nic.h"
 #include "rdma/queue_pair.h"
 #include "transport/frame.h"
@@ -25,12 +26,14 @@ class SocketNic;
 /// the application loop thread: the payload is snapshotted into an
 /// outbound frame at post time (the socket analogue of the simulated
 /// NIC's inline/PCIe snapshot — worker threads never read MR payload
-/// memory on the send side), a pending-op record keyed by a
-/// monotonically increasing op token is parked, and the frame is handed
-/// to the owning epoll worker. Acks flow back through the driver
-/// mailbox and complete ops strictly in post order — TCP FIFO plus the
-/// per-stream worker plus the FIFO mailbox reproduce the RC QP's
-/// in-order completion guarantee without a sequencer ring.
+/// memory on the send side), a pending-op record tagged with a
+/// monotonically increasing op token is parked, and the frame is
+/// written to the socket right there on the loop thread. Acks flow back
+/// through the driver mailbox. Pending ops sit in a ring in post order
+/// and complete from its head, so completions surface strictly in post
+/// order, as on an RC QP: an ack that overtakes an earlier op (a kSend
+/// is acked from the peer's loop, a one-sided op from its worker) waits
+/// in its slot until the ops before it complete.
 ///
 /// A SocketQueuePair can also be a *remote endpoint descriptor*: a
 /// placeholder carrying (host, port, token) for a QP living in another
@@ -69,28 +72,46 @@ class SocketQueuePair : public rdma::QueuePair {
   friend class SocketFabric;
   friend class SocketNic;
 
+  /// Where one read hop of a chain lands locally.
+  struct Landing {
+    uint64_t local_offset = 0;
+    uint64_t len = 0;
+  };
+
   struct PendingOp {
     uint64_t wr_id = 0;
     rdma::Opcode opcode = rdma::Opcode::kWrite;
     rdma::MemoryRegion* mr = nullptr;  // READ/chain landing buffer
     uint64_t local_offset = 0;
     uint32_t len = 0;
-    /// kChain only: the posted hop descriptors, kept so the single
-    /// response's concatenated read payloads scatter back to each
-    /// hop's local landing offset.
-    std::vector<ChainHopWire> chain_hops;
+    /// kChain only: the read hops' landings in hop order, so the single
+    /// response's concatenated payloads scatter back.
+    uint32_t num_landings = 0;
+    std::array<Landing, rdma::kMaxChainHops> landings;
+    /// Set when the op's ack arrived ahead of an earlier op's; the
+    /// ack's fields wait here until the op reaches the ring's head.
+    bool acked = false;
+    StatusCode status = StatusCode::kOk;
+    uint64_t aux = 0;
+    std::vector<uint8_t> payload;
   };
 
-  Status CheckSendable() const;
+  /// Also adopts a stream the peer dialed whose bind has not reached
+  /// the loop yet.
+  Status CheckSendable();
+  /// Loop-side: parks `op` under the next op token.
+  void Park(PendingOp op);
   /// Loop-side: an ack/response frame for op `op_token` arrived. `aux`
   /// echoes the response header's aux word (executed hop count for
   /// kChainResp; unused for the other acks).
   void CompleteOp(uint64_t op_token, StatusCode status, uint64_t aux,
                   std::vector<uint8_t> payload);
+  /// Loop-side: lands an acked op's payload and pushes its completion.
+  void Retire(PendingOp& op);
   /// Loop-side: an incoming kSend; returns the status to ack.
   StatusCode AcceptIncomingSend(const std::vector<uint8_t>& payload);
   /// Loop-side: the listener side learned its stream (kConnect seen).
-  void OnAccepted(WorkerPool::ConnId conn);
+  void OnAccepted(const WorkerPool::ConnRef& conn);
   /// Loop-side: the stream died under us.
   void OnTransportClosed();
 
@@ -101,12 +122,13 @@ class SocketQueuePair : public rdma::QueuePair {
   uint16_t port_ = 0;
   uint64_t remote_token_ = 0;
   bool connected_ = false;
-  bool has_conn_ = false;
-  WorkerPool::ConnId conn_ = 0;
+  /// The stream; null until connected and after Break().
+  WorkerPool::ConnRef conn_;
   uint64_t next_op_token_ = 1;
-  /// Ordered by op token == post order, so a Break() flush completes in
-  /// post order exactly like the simulated sequencer. Loop-thread only.
-  std::map<uint64_t, PendingOp> pending_;
+  /// In-flight ops in post order: the head holds op token
+  /// next_op_token_ - pending_.size(), and the rest follow
+  /// consecutively. Loop-thread only.
+  common::VecDeque<PendingOp> pending_;
 };
 
 /// The NIC of one server on the socket backend. Regions and queue pairs
@@ -163,6 +185,10 @@ class SocketFabric : public rdma::Fabric {
   ~SocketFabric() override;
 
   rdma::Nic* NicAt(net::ServerId server) override;
+  /// Also registers "transport.worker_commands_enqueued": commands the
+  /// worker pool handed across threads since telemetry was installed.
+  /// Posts and acks never add to it (they write the socket in place).
+  void set_telemetry(telemetry::Telemetry* telemetry) override;
 
   /// Stops the worker pool (no more frames). Call before stopping the
   /// driver; the destructor does it as a backstop.
@@ -196,10 +222,14 @@ class SocketFabric : public rdma::Fabric {
   friend class SocketQueuePair;
   friend class SocketNic;
 
+  /// Removes and returns the stream a peer dialed to QP `qp_token`
+  /// whose bind is still on its way to the loop (null if none).
+  WorkerPool::ConnRef TakeAcceptedConn(uint64_t qp_token);
+
   // Worker-side frame dispatch.
-  void OnFrame(WorkerPool::ConnId conn, uint64_t bound_token,
+  void OnFrame(const WorkerPool::ConnRef& conn, uint64_t bound_token,
                const FrameHeader& hdr, std::vector<uint8_t> payload);
-  void OnConnClosed(WorkerPool::ConnId conn, uint64_t bound_token);
+  void OnConnClosed(uint64_t bound_token);
   /// Worker-side one-sided responder: fence check + deposit.
   uint8_t ApplyWrite(const FrameHeader& hdr,
                      const std::vector<uint8_t>& payload);
@@ -213,10 +243,10 @@ class SocketFabric : public rdma::Fabric {
                        std::vector<uint8_t>* out, uint64_t* hops_done);
 
   // Loop-side continuations.
-  void BindAcceptedConn(uint64_t qp_token, WorkerPool::ConnId conn);
+  void BindAcceptedConn(uint64_t qp_token, const WorkerPool::ConnRef& conn);
   void DeliverAck(uint64_t qp_token, uint64_t op_token, uint8_t status,
                   uint64_t aux, std::vector<uint8_t> payload);
-  void HandleIncomingSend(uint64_t qp_token, WorkerPool::ConnId conn,
+  void HandleIncomingSend(uint64_t qp_token, const WorkerPool::ConnRef& conn,
                           uint64_t op_token, std::vector<uint8_t> payload);
   void NotifyRemoteWriteOnLoop(uint32_t rkey);
   void QpTransportClosed(uint64_t qp_token);
@@ -234,6 +264,11 @@ class SocketFabric : public rdma::Fabric {
   // Worker-shared responder table.
   std::mutex mr_mu_;
   std::unordered_map<uint32_t, SharedMr> shared_mrs_;
+
+  // Accepted streams by the QP token their kConnect named, from the
+  // worker that parsed it until the loop binds them.
+  std::mutex accept_mu_;
+  std::unordered_map<uint64_t, WorkerPool::ConnRef> accepted_;
 };
 
 }  // namespace redy::transport

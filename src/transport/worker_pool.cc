@@ -13,6 +13,8 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "common/vec_deque.h"
+#include "telemetry/metrics.h"
 
 namespace redy::transport {
 
@@ -25,6 +27,27 @@ void SetNonBlocking(int fd) {
 }
 
 }  // namespace
+
+struct WorkerPool::Conn {
+  Conn(int fd_in, uint64_t id_in, int worker_in, uint64_t token)
+      : id(id_in), worker(worker_in), bound_token(token), fd(fd_in) {}
+
+  const uint64_t id;  // epoll tag and key of the owning worker's map
+  const int worker;
+  // Owning worker only.
+  uint64_t bound_token;
+  std::vector<uint8_t> inbuf;
+  // Guarded by send_mu, which is held across a whole frame. `closing`
+  // is written only by the owning worker (under the lock).
+  std::mutex send_mu;
+  int fd;
+  /// Outbound frames awaiting the socket; front may be part-sent.
+  common::VecDeque<std::vector<uint8_t>> outq;
+  size_t out_off = 0;  // sent bytes of outq.front()
+  /// Epoll interest registered for fd; 0 until the owner adds it.
+  uint32_t events = 0;
+  bool closing = false;
+};
 
 WorkerPool::WorkerPool(int workers, uint64_t max_frame_payload)
     : max_frame_payload_(max_frame_payload) {
@@ -47,7 +70,12 @@ WorkerPool::~WorkerPool() {
   Stop();
   for (auto& w : workers_) {
     for (auto& [id, c] : w->conns) {
-      if (c->fd >= 0) close(c->fd);
+      // Handles may outlive the pool; mark the stream closed so a late
+      // Send never touches the released fd.
+      std::lock_guard<std::mutex> lk(c->send_mu);
+      c->closing = true;
+      close(c->fd);
+      c->fd = -1;
     }
     for (auto& [fd, cb] : w->listeners) close(fd);
     close(w->evfd);
@@ -81,6 +109,10 @@ bool WorkerPool::OnWorker(int worker) const {
 }
 
 void WorkerPool::Enqueue(int worker, std::function<void()> cmd) {
+  if (telemetry::Counter* c =
+          command_counter_.load(std::memory_order_acquire)) {
+    c->Inc();
+  }
   Worker& w = *workers_[worker];
   {
     std::lock_guard<std::mutex> lk(w.mu);
@@ -90,36 +122,37 @@ void WorkerPool::Enqueue(int worker, std::function<void()> cmd) {
   [[maybe_unused]] ssize_t n = write(w.evfd, &one, sizeof(one));
 }
 
-WorkerPool::ConnId WorkerPool::AddConnection(int fd, uint64_t bound_token) {
+WorkerPool::ConnRef WorkerPool::AddConnection(int fd, uint64_t bound_token) {
   SetNonBlocking(fd);
   int one = 1;
   setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   const int worker =
       rr_.fetch_add(1, std::memory_order_relaxed) % workers_.size();
-  const ConnId id = (next_conn_.fetch_add(1, std::memory_order_relaxed) << 8) |
-                    static_cast<uint64_t>(worker);
-  auto install = [this, worker, fd, id, bound_token] {
-    Worker& w = *workers_[worker];
-    auto c = std::make_unique<Conn>();
-    c->fd = fd;
-    c->id = id;
-    c->bound_token = bound_token;
-    struct epoll_event ev = {};
-    ev.events = EPOLLIN | EPOLLRDHUP;
-    ev.data.u64 = id;
-    if (epoll_ctl(w.epfd, EPOLL_CTL_ADD, fd, &ev) != 0) {
-      close(fd);
-      if (handlers_.on_close) handlers_.on_close(id, bound_token);
-      return;
+  auto conn = std::make_shared<Conn>(
+      fd, next_conn_.fetch_add(1, std::memory_order_relaxed), worker,
+      bound_token);
+  auto install = [this, conn] {
+    Worker& w = *workers_[conn->worker];
+    bool added = false;
+    {
+      // Sends may already have queued a remainder: register EPOLLOUT
+      // with the fd if so.
+      std::lock_guard<std::mutex> lk(conn->send_mu);
+      struct epoll_event ev = {};
+      ev.events = EPOLLIN | EPOLLRDHUP | (conn->outq.empty() ? 0u : EPOLLOUT);
+      ev.data.u64 = conn->id;
+      added = epoll_ctl(w.epfd, EPOLL_CTL_ADD, conn->fd, &ev) == 0;
+      if (added) conn->events = ev.events;
     }
-    w.conns.emplace(id, std::move(c));
+    w.conns.emplace(conn->id, conn);
+    if (!added) CloseConn(w, *conn);
   };
   if (OnWorker(worker)) {
     install();
   } else {
     Enqueue(worker, std::move(install));
   }
-  return id;
+  return conn;
 }
 
 void WorkerPool::AddListener(int listen_fd, std::function<void(int)> on_accept) {
@@ -134,71 +167,34 @@ void WorkerPool::AddListener(int listen_fd, std::function<void(int)> on_accept) 
   });
 }
 
-void WorkerPool::Send(ConnId conn, std::vector<uint8_t> buf) {
-  const int worker = WorkerOf(conn);
-  auto deliver = [this, worker, conn, b = std::move(buf)]() mutable {
-    Worker& w = *workers_[worker];
-    auto it = w.conns.find(conn);
-    if (it == w.conns.end() || it->second->closing) return;
-    Conn& c = *it->second;
-    c.outq.push_back(std::move(b));
-    FlushOut(w, c);
-  };
-  if (OnWorker(worker)) {
-    deliver();
-  } else {
-    Enqueue(worker, std::move(deliver));
+void WorkerPool::Send(const ConnRef& conn, std::vector<uint8_t> buf) {
+  Conn& c = *conn;
+  bool ok = true;
+  {
+    std::lock_guard<std::mutex> lk(c.send_mu);
+    if (c.closing) return;
+    c.outq.push_back(std::move(buf));
+    // Frames already queued mean EPOLLOUT is armed (or about to be, by
+    // the owner's install): this one goes out behind them, in order.
+    if (c.outq.size() == 1) ok = FlushLocked(c);
   }
+  if (!ok) Close(conn);
 }
 
-void WorkerPool::Close(ConnId conn) {
-  const int worker = WorkerOf(conn);
-  auto doit = [this, worker, conn] {
-    Worker& w = *workers_[worker];
-    auto it = w.conns.find(conn);
-    if (it == w.conns.end()) return;
-    CloseConn(w, *it->second);
-  };
-  if (OnWorker(worker)) {
-    doit();
-  } else {
-    Enqueue(worker, std::move(doit));
+void WorkerPool::Flush(const ConnRef& conn) {
+  Conn& c = *conn;
+  bool ok = true;
+  {
+    std::lock_guard<std::mutex> lk(c.send_mu);
+    if (!c.closing) ok = FlushLocked(c);
   }
+  if (!ok) Close(conn);
 }
 
-void WorkerPool::BindToken(ConnId conn, uint64_t token) {
-  const int worker = WorkerOf(conn);
-  REDY_CHECK(OnWorker(worker));
-  auto it = workers_[worker]->conns.find(conn);
-  if (it != workers_[worker]->conns.end()) it->second->bound_token = token;
-}
-
-void WorkerPool::CloseConn(Worker& w, Conn& c) {
-  if (c.closing) return;
-  c.closing = true;
-  epoll_ctl(w.epfd, EPOLL_CTL_DEL, c.fd, nullptr);
-  close(c.fd);
-  c.fd = -1;
-  const ConnId id = c.id;
-  const uint64_t token = c.bound_token;
-  w.conns.erase(id);  // invalidates c
-  if (handlers_.on_close) handlers_.on_close(id, token);
-}
-
-void WorkerPool::UpdateInterest(Worker& w, Conn& c) {
-  const bool want = !c.outq.empty();
-  if (want == c.want_write) return;
-  c.want_write = want;
-  struct epoll_event ev = {};
-  ev.events = EPOLLIN | EPOLLRDHUP | (want ? EPOLLOUT : 0u);
-  ev.data.u64 = c.id;
-  epoll_ctl(w.epfd, EPOLL_CTL_MOD, c.fd, &ev);
-}
-
-void WorkerPool::FlushOut(Worker& w, Conn& c) {
+bool WorkerPool::FlushLocked(Conn& c) {
   while (!c.outq.empty()) {
     const std::vector<uint8_t>& front = c.outq.front();
-    // MSG_NOSIGNAL: a half-closed peer means EPIPE -> CloseConn, not a
+    // MSG_NOSIGNAL: a half-closed peer means EPIPE -> close, not a
     // process-wide SIGPIPE.
     const ssize_t n = ::send(c.fd, front.data() + c.out_off,
                              front.size() - c.out_off, MSG_NOSIGNAL);
@@ -212,15 +208,49 @@ void WorkerPool::FlushOut(Worker& w, Conn& c) {
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
     if (n < 0 && errno == EINTR) continue;
-    CloseConn(w, c);
-    return;
+    return false;
   }
-  UpdateInterest(w, c);
+  // Hand a remainder to the owning worker (EPOLLOUT), or stop watching
+  // for writability once drained. Before the owner registered the fd
+  // (events == 0) its install picks the interest up instead.
+  const uint32_t want =
+      EPOLLIN | EPOLLRDHUP | (c.outq.empty() ? 0u : EPOLLOUT);
+  if (c.events != 0 && want != c.events) {
+    c.events = want;
+    struct epoll_event ev = {};
+    ev.events = want;
+    ev.data.u64 = c.id;
+    epoll_ctl(workers_[c.worker]->epfd, EPOLL_CTL_MOD, c.fd, &ev);
+  }
+  return true;
 }
 
-void WorkerPool::HandleWritable(Worker& w, Conn& c) { FlushOut(w, c); }
+void WorkerPool::Close(const ConnRef& conn) {
+  auto doit = [this, conn] { CloseConn(*workers_[conn->worker], *conn); };
+  if (OnWorker(conn->worker)) {
+    doit();
+  } else {
+    Enqueue(conn->worker, std::move(doit));
+  }
+}
 
-void WorkerPool::HandleReadable(Worker& w, Conn& c) {
+void WorkerPool::CloseConn(Worker& w, Conn& c) {
+  if (c.closing) return;
+  {
+    std::lock_guard<std::mutex> lk(c.send_mu);
+    c.closing = true;
+    if (c.events != 0) epoll_ctl(w.epfd, EPOLL_CTL_DEL, c.fd, nullptr);
+    close(c.fd);
+    c.fd = -1;
+    c.outq.clear();
+  }
+  const uint64_t token = c.bound_token;
+  w.conns.erase(c.id);  // may release c
+  if (handlers_.on_close) handlers_.on_close(token);
+}
+
+void WorkerPool::HandleReadable(Worker& w, const ConnRef& conn) {
+  Conn& c = *conn;
   uint8_t chunk[64 * 1024];
   while (true) {
     const ssize_t n = ::read(c.fd, chunk, sizeof(chunk));
@@ -234,31 +264,26 @@ void WorkerPool::HandleReadable(Worker& w, Conn& c) {
     CloseConn(w, c);  // EOF or hard error
     return;
   }
-  // Parse complete frames. The Conn may be closed mid-loop (protocol
-  // violation or a handler closing it); re-look it up each iteration.
-  const ConnId id = c.id;
-  while (true) {
-    auto it = w.conns.find(id);
-    if (it == w.conns.end()) return;
-    Conn& cc = *it->second;
-    if (cc.inbuf.size() < sizeof(FrameHeader)) break;
+  // Parse complete frames. A handler may close the stream mid-loop
+  // (protocol violation, or a QP breaking under it).
+  while (!c.closing && c.inbuf.size() >= sizeof(FrameHeader)) {
     FrameHeader hdr;
-    std::memcpy(&hdr, cc.inbuf.data(), sizeof(hdr));
+    std::memcpy(&hdr, c.inbuf.data(), sizeof(hdr));
     if (hdr.magic != FrameHeader::kMagic ||
         hdr.payload_len > max_frame_payload_) {
-      CloseConn(w, cc);
+      CloseConn(w, c);
       return;
     }
     const size_t total = sizeof(FrameHeader) + hdr.payload_len;
-    if (cc.inbuf.size() < total) break;
-    std::vector<uint8_t> payload(
-        cc.inbuf.begin() + sizeof(FrameHeader), cc.inbuf.begin() + total);
-    cc.inbuf.erase(cc.inbuf.begin(), cc.inbuf.begin() + total);
+    if (c.inbuf.size() < total) break;
+    std::vector<uint8_t> payload(c.inbuf.begin() + sizeof(FrameHeader),
+                                 c.inbuf.begin() + total);
+    c.inbuf.erase(c.inbuf.begin(), c.inbuf.begin() + total);
     if (hdr.type == static_cast<uint8_t>(FrameType::kConnect)) {
-      cc.bound_token = hdr.aux;
+      c.bound_token = hdr.aux;
     }
     if (handlers_.on_frame) {
-      handlers_.on_frame(id, cc.bound_token, hdr, std::move(payload));
+      handlers_.on_frame(conn, c.bound_token, hdr, std::move(payload));
     }
   }
 }
@@ -300,16 +325,17 @@ void WorkerPool::Run(int index) {
       }
       auto it = w.conns.find(tag);
       if (it == w.conns.end()) continue;
-      Conn& c = *it->second;
+      // Held across the handlers: closing erases the map's reference.
+      const ConnRef conn = it->second;
       if (evs[i].events & (EPOLLHUP | EPOLLERR)) {
-        CloseConn(w, c);
+        CloseConn(w, *conn);
         continue;
       }
       if (evs[i].events & EPOLLOUT) {
-        HandleWritable(w, c);
-        if (w.conns.find(tag) == w.conns.end()) continue;
+        Flush(conn);
+        if (conn->closing) continue;
       }
-      if (evs[i].events & (EPOLLIN | EPOLLRDHUP)) HandleReadable(w, c);
+      if (evs[i].events & (EPOLLIN | EPOLLRDHUP)) HandleReadable(w, conn);
     }
   }
   // Drain any last commands so no cross-thread caller is left holding a

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -13,39 +12,55 @@
 
 #include "transport/frame.h"
 
+namespace redy::telemetry {
+class Counter;
+}  // namespace redy::telemetry
+
 namespace redy::transport {
 
 /// Epoll worker pool of the socket backend (DESIGN.md §13; shape after
 /// the classic one-epoll-instance-per-worker server idiom). Each worker
 /// thread owns an epoll instance, an eventfd doorbell, and every
-/// connection assigned to it: all reads, writes, frame parsing, and —
+/// connection assigned to it: all reads, frame parsing, and —
 /// crucially — the one-sided responder work for frames arriving on its
 /// connections happen on that thread, never on the application loop.
 /// Connections are assigned round-robin at add time and never migrate,
-/// so per-connection state needs no locking and TCP's FIFO delivery
-/// survives as the QP's in-order guarantee.
+/// so TCP's FIFO delivery survives as the QP's in-order guarantee.
 ///
-/// Cross-thread entry points (AddConnection / Send / Close) hand the
-/// owning worker a command through a mutex-guarded queue plus eventfd
-/// kick; calls made on the owning worker itself (the common ack path:
-/// respond to a frame you just parsed) short-circuit and run inline.
+/// Writes are not owned by the worker. Send() writes the frame to the
+/// nonblocking socket on the calling thread — the application loop's
+/// posts ring the "doorbell" themselves, as a verbs post does, with no
+/// thread hop. Each connection has one send lock, held across a whole
+/// frame, guarding the fd, the outbound queue and the closing flag, so
+/// frames from the loop's posts and the worker's inline acks never
+/// interleave on the stream and nobody writes to a closed or reused fd.
+/// A send that hits EAGAIN (or goes out partially) queues the remainder
+/// and arms EPOLLOUT on the owning worker, which finishes it.
+///
+/// The remaining cross-thread entry points (AddConnection / Close /
+/// AddListener) hand the owning worker a command through a
+/// mutex-guarded queue plus eventfd kick; called on the owning worker
+/// itself they run inline. None of them is on the per-op path; the
+/// command counter (set_command_counter) holds that line.
 class WorkerPool {
  public:
-  /// Connection handle. Encodes the owning worker so any thread can
-  /// route commands without a global registry.
-  using ConnId = uint64_t;
+  /// One stream (defined in worker_pool.cc).
+  struct Conn;
+  /// Connection handle. Holders may Send/Close on it from any thread;
+  /// it stays valid (sends become no-ops) after the stream closes.
+  using ConnRef = std::shared_ptr<Conn>;
 
   struct Handlers {
     /// A complete, validated frame arrived on `conn`. Runs on the
     /// owning worker thread. `bound_token` is the QP token the stream
     /// was bound to (0 until a kConnect is seen or AddConnection bound
     /// one).
-    std::function<void(ConnId conn, uint64_t bound_token,
+    std::function<void(const ConnRef& conn, uint64_t bound_token,
                        const FrameHeader& hdr, std::vector<uint8_t> payload)>
         on_frame;
     /// The connection died (EOF, error, oversized/corrupt frame, or an
     /// explicit Close). Runs on the owning worker thread, exactly once.
-    std::function<void(ConnId conn, uint64_t bound_token)> on_close;
+    std::function<void(uint64_t bound_token)> on_close;
   };
 
   explicit WorkerPool(int workers, uint64_t max_frame_payload = kDefaultMaxPayload);
@@ -62,47 +77,39 @@ class WorkerPool {
   /// Adopts an established stream socket (takes ownership of `fd`, sets
   /// it nonblocking). `bound_token` pre-binds the stream to a QP token
   /// (dialer side); pass 0 for accepted streams that will bind on their
-  /// first kConnect frame. Thread-safe.
-  ConnId AddConnection(int fd, uint64_t bound_token);
+  /// first kConnect frame. Thread-safe; the handle is usable for Send
+  /// immediately.
+  ConnRef AddConnection(int fd, uint64_t bound_token);
 
-  /// Queues `buf` (an encoded frame) on the connection's outbound
-  /// stream. Thread-safe; inline when called on the owning worker.
-  void Send(ConnId conn, std::vector<uint8_t> buf);
+  /// Writes `buf` (an encoded frame) to the connection's stream, on the
+  /// calling thread. Thread-safe; a no-op once the connection closed.
+  void Send(const ConnRef& conn, std::vector<uint8_t> buf);
 
   /// Asynchronously closes the connection (on_close fires on the owning
   /// worker). Thread-safe, idempotent.
-  void Close(ConnId conn);
-
-  /// Rebinds the stream's QP token. Owning worker only (i.e. from
-  /// inside on_frame for this connection).
-  void BindToken(ConnId conn, uint64_t token);
+  void Close(const ConnRef& conn);
 
   /// Registers a listening socket on worker 0; `on_accept` runs on
   /// worker 0 for every accepted fd (typically forwarding to
   /// AddConnection). Call before or after Start. Takes ownership.
   void AddListener(int listen_fd, std::function<void(int fd)> on_accept);
 
+  /// Counts every command handed to a worker from another thread
+  /// (connection set-up, closes, listeners; never posts or acks) into
+  /// `counter`, a metrics-registry counter. nullptr detaches. Not owned.
+  void set_command_counter(telemetry::Counter* counter) {
+    command_counter_.store(counter, std::memory_order_release);
+  }
+
   static constexpr uint64_t kDefaultMaxPayload = 64ull * 1024 * 1024;
 
  private:
-  struct Conn {
-    int fd = -1;
-    ConnId id = 0;
-    uint64_t bound_token = 0;
-    std::vector<uint8_t> inbuf;
-    /// Outbound buffers awaiting the socket; front may be part-sent.
-    std::deque<std::vector<uint8_t>> outq;
-    size_t out_off = 0;  // sent bytes of outq.front()
-    bool want_write = false;
-    bool closing = false;
-  };
-
   struct Worker {
     int epfd = -1;
     int evfd = -1;
     std::mutex mu;
     std::vector<std::function<void()>> commands;
-    std::unordered_map<ConnId, std::unique_ptr<Conn>> conns;
+    std::unordered_map<uint64_t, ConnRef> conns;
     std::unordered_map<int, std::function<void(int)>> listeners;
     std::thread::id thread_id;
   };
@@ -113,12 +120,14 @@ class WorkerPool {
   void Run(int index);
   void Enqueue(int worker, std::function<void()> cmd);
   bool OnWorker(int worker) const;
-  void HandleReadable(Worker& w, Conn& c);
-  void HandleWritable(Worker& w, Conn& c);
-  void FlushOut(Worker& w, Conn& c);
-  void UpdateInterest(Worker& w, Conn& c);
+  void HandleReadable(Worker& w, const ConnRef& conn);
+  /// Sends queued frames until the queue drains or the socket would
+  /// block, then matches the EPOLLOUT interest to what is left. Caller
+  /// holds c.send_mu. Returns false on a hard socket error.
+  bool FlushLocked(Conn& c);
+  /// Sends whatever is queued; closes the stream on a hard error.
+  void Flush(const ConnRef& conn);
   void CloseConn(Worker& w, Conn& c);
-  static int WorkerOf(ConnId id) { return static_cast<int>(id & 0xff); }
 
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::thread> threads_;
@@ -127,6 +136,7 @@ class WorkerPool {
   std::atomic<uint64_t> next_conn_{1};
   std::atomic<int> rr_{0};
   std::atomic<bool> stop_{false};
+  std::atomic<telemetry::Counter*> command_counter_{nullptr};
 };
 
 }  // namespace redy::transport

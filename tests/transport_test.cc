@@ -22,6 +22,7 @@
 #include "rdma/queue_pair.h"
 #include "redy/testbed.h"
 #include "sim/simulation.h"
+#include "telemetry/telemetry.h"
 #include "transport/loopback.h"
 #include "transport/socket_fabric.h"
 #include "transport/wall_clock.h"
@@ -145,6 +146,7 @@ class SocketHarness : public BackendHarness {
     }
   }
   WallClockDriver& driver() { return driver_; }
+  sim::Simulation& sim() { return sim_; }
 
  private:
   sim::Simulation sim_;
@@ -346,6 +348,26 @@ TEST_P(BackendRdmaTest, SendRecvDeliversToPostedBuffer) {
   EXPECT_EQ(rwc.wr_id, 42u);
   EXPECT_EQ(rwc.status, StatusCode::kOk);
   EXPECT_EQ(std::memcmp(remote_->data(), msg, sizeof(msg)), 0);
+}
+
+// A SEND is acked by the receiver's application loop, a WRITE by the
+// responder as it lands; the later WRITE's ack can overtake the SEND's,
+// and must still complete after it.
+TEST_P(BackendRdmaTest, SendThenWritesCompleteInPostOrder) {
+  harness_->Run([&] {
+    EXPECT_TRUE(sqp_->PostRecv(42, remote_, 0, 4096).ok());
+    EXPECT_TRUE(cqp_->PostSend(1, local_, 0, 64).ok());
+    for (uint64_t i = 2; i <= 6; i++) {
+      EXPECT_TRUE(
+          cqp_->PostWrite(i, local_, 0, remote_->remote_key(), 8192, 64).ok());
+    }
+  });
+  auto wcs = DrainN(6);
+  ASSERT_EQ(wcs.size(), 6u);
+  for (size_t i = 0; i < wcs.size(); i++) {
+    EXPECT_EQ(wcs[i].wr_id, i + 1);
+    EXPECT_EQ(wcs[i].status, StatusCode::kOk);
+  }
 }
 
 TEST_P(BackendRdmaTest, NicFailureFlushesInFlightOps) {
@@ -583,6 +605,261 @@ std::string BackendName(const ::testing::TestParamInfo<Backend>& info) {
 INSTANTIATE_TEST_SUITE_P(Backends, BackendRdmaTest,
                          ::testing::Values(Backend::kSim, Backend::kSocket),
                          BackendName);
+
+// ---------------------------------------------------------------------------
+// Socket streams: posts write the socket on the loop thread, workers
+// write acks on the same stream, and a send that would block hands its
+// remainder to the owning worker.
+
+class SocketStreamTest : public ::testing::Test {
+ protected:
+  SocketStreamTest() : tel_(&h_.sim()) {
+    h_.Run([&] {
+      h_.fabric().set_telemetry(&tel_);
+      client_nic_ = h_.fabric().NicAt(0);
+    });
+  }
+  ~SocketStreamTest() override {
+    h_.Run([&] { h_.fabric().set_telemetry(nullptr); });
+  }
+
+  /// Connects a client QP on client_nic_ to a QP on NIC `server`.
+  void Connect(net::ServerId server, QueuePair** cqp, QueuePair** sqp) {
+    h_.Run([&] {
+      *cqp = client_nic_->CreateQueuePair(16);
+      *sqp = h_.fabric().NicAt(server)->CreateQueuePair(16);
+      EXPECT_TRUE((*cqp)->Connect(*sqp).ok());
+    });
+  }
+
+  uint64_t CommandsEnqueued() {
+    return tel_.metrics()
+        .GetCounter("transport.worker_commands_enqueued")
+        ->Value();
+  }
+
+  /// Pumps until `n` completions surfaced on `qp`'s send CQ.
+  std::vector<WorkCompletion> DrainN(QueuePair* qp, size_t n) {
+    std::vector<WorkCompletion> out;
+    h_.Await([&] {
+      WorkCompletion wc;
+      while (qp->send_cq().Poll(&wc, 1) == 1) out.push_back(wc);
+      return out.size() >= n;
+    });
+    return out;
+  }
+
+  SocketHarness h_;
+  telemetry::Telemetry tel_;
+  Nic* client_nic_ = nullptr;
+};
+
+// 8 MiB frames overrun the socket buffer, so every big write leaves a
+// remainder for the owning worker to finish (EPOLLOUT), while that
+// worker keeps writing acks for the peer's writes onto the same stream.
+TEST_F(SocketStreamTest, BigWritesAndReverseAcksShareTheStream) {
+  constexpr uint64_t kBig = 8 * kMiB;
+  constexpr int kBigWrites = 3;
+  constexpr int kSmallWrites = 12;
+  QueuePair* cqp = nullptr;
+  QueuePair* sqp = nullptr;
+  Connect(1, &cqp, &sqp);
+  MemoryRegion* src = nullptr;
+  MemoryRegion* dst = nullptr;
+  MemoryRegion* back_src = nullptr;
+  MemoryRegion* back_dst = nullptr;
+  h_.Run([&] {
+    src = client_nic_->RegisterMemory(kBig);
+    back_dst = client_nic_->RegisterMemory(64 * kKiB);
+    dst = h_.fabric().NicAt(1)->RegisterMemory(kBigWrites * kBig);
+    back_src = h_.fabric().NicAt(1)->RegisterMemory(64 * kKiB);
+  });
+  auto fill = [](int write, uint8_t* out) {
+    for (uint64_t i = 0; i < kBig; i++) {
+      out[i] = static_cast<uint8_t>((i * 131 + i / 4093 + write * 71) & 0xff);
+    }
+  };
+  for (uint64_t i = 0; i < 64 * kKiB; i++) {
+    back_src->data()[i] = static_cast<uint8_t>(i * 7 + 3);
+  }
+  h_.Run([&] {
+    int small = 0;
+    for (int w = 0; w < kBigWrites; w++) {
+      // The same source buffer, rewritten after every post: each frame
+      // must carry the bytes as they were at its post.
+      fill(w, src->data());
+      EXPECT_TRUE(cqp->PostWrite(w, src, 0, dst->remote_key(), w * kBig, kBig)
+                      .ok());
+      for (int k = 0; k < kSmallWrites / kBigWrites; k++, small++) {
+        EXPECT_TRUE(sqp->PostWrite(100 + small, back_src, small * 4 * kKiB,
+                                   back_dst->remote_key(), small * 4 * kKiB,
+                                   4 * kKiB)
+                        .ok());
+      }
+    }
+  });
+  const auto big = DrainN(cqp, kBigWrites);
+  const auto back = DrainN(sqp, kSmallWrites);
+  ASSERT_EQ(big.size(), static_cast<size_t>(kBigWrites));
+  ASSERT_EQ(back.size(), static_cast<size_t>(kSmallWrites));
+  std::vector<uint8_t> want(kBig);
+  for (int w = 0; w < kBigWrites; w++) {
+    EXPECT_EQ(big[w].wr_id, static_cast<uint64_t>(w));
+    EXPECT_EQ(big[w].status, StatusCode::kOk);
+    fill(w, want.data());
+    EXPECT_EQ(std::memcmp(dst->data() + w * kBig, want.data(), kBig), 0)
+        << "write " << w << " landed corrupted";
+  }
+  for (int k = 0; k < kSmallWrites; k++) {
+    EXPECT_EQ(back[k].wr_id, static_cast<uint64_t>(100 + k));
+    EXPECT_EQ(back[k].status, StatusCode::kOk);
+  }
+  EXPECT_EQ(std::memcmp(back_dst->data(), back_src->data(),
+                        kSmallWrites * 4 * kKiB),
+            0);
+}
+
+// The listener side binds a dialed stream through the loop's mailbox,
+// but the dialer's first requests land in its memory straight from the
+// worker. A listener QP answering them before the bind ran must still
+// find its stream.
+TEST_F(SocketStreamTest, ListenerPostsBeforeTheBindReachesTheLoop) {
+  MemoryRegion* local = nullptr;
+  MemoryRegion* remote = nullptr;
+  bool landed = false;
+  Status answer = Status::Internal("unset");
+  QueuePair* cqp = nullptr;
+  QueuePair* sqp = nullptr;
+  h_.Run([&] {
+    local = client_nic_->RegisterMemory(4 * kKiB);
+    remote = h_.fabric().NicAt(1)->RegisterMemory(4 * kKiB);
+    cqp = client_nic_->CreateQueuePair(16);
+    sqp = h_.fabric().NicAt(1)->CreateQueuePair(16);
+    ASSERT_TRUE(cqp->Connect(sqp).ok());
+    const uint64_t word = 0x5EED;
+    std::memcpy(local->data(), &word, sizeof(word));
+    ASSERT_TRUE(
+        cqp->PostWrite(1, local, 0, remote->remote_key(), 0, 8).ok());
+    // Hold the loop until the request has landed: the bind queued
+    // behind it in the mailbox cannot run meanwhile.
+    const uint64_t deadline = WallClockDriver::MonotonicNs() + 5'000'000'000;
+    while (!landed && WallClockDriver::MonotonicNs() < deadline) {
+      landed = std::atomic_ref<uint64_t>(
+                   *reinterpret_cast<uint64_t*>(remote->data()))
+                   .load(std::memory_order_acquire) == word;
+    }
+    answer = sqp->PostWrite(2, remote, 0, local->remote_key(), 64, 8);
+  });
+  ASSERT_TRUE(landed);
+  ASSERT_TRUE(answer.ok()) << answer.ToString();
+  const auto wcs = DrainN(sqp, 1);
+  ASSERT_EQ(wcs.size(), 1u);
+  EXPECT_EQ(wcs[0].status, StatusCode::kOk);
+  ASSERT_EQ(DrainN(cqp, 1).size(), 1u);
+}
+
+// A post from the loop writes the socket itself: once the streams are
+// up, no post, ack or response hands a worker a command.
+TEST_F(SocketStreamTest, SteadyStatePostsEnqueueNoWorkerCommands) {
+  const uint64_t before_connect = CommandsEnqueued();
+  QueuePair* cqp = nullptr;
+  QueuePair* sqp = nullptr;
+  Connect(1, &cqp, &sqp);
+  MemoryRegion* local = nullptr;
+  MemoryRegion* remote = nullptr;
+  h_.Run([&] {
+    local = client_nic_->RegisterMemory(64 * kKiB);
+    remote = h_.fabric().NicAt(1)->RegisterMemory(64 * kKiB);
+  });
+  // Warm-up: the accepted stream's set-up (install on its worker, the
+  // kConnect bind) finishes before the measured window.
+  h_.Run([&] {
+    EXPECT_TRUE(cqp->PostWrite(0, local, 0, remote->remote_key(), 0, 64).ok());
+  });
+  ASSERT_EQ(DrainN(cqp, 1).size(), 1u);
+  const uint64_t steady = CommandsEnqueued();
+  EXPECT_GT(steady, before_connect) << "connection set-up is not counted";
+
+  constexpr int kRounds = 50;
+  for (int r = 0; r < kRounds; r++) {
+    h_.Run([&] {
+      EXPECT_TRUE(sqp->PostRecv(r, remote, 4096, 64).ok());
+      EXPECT_TRUE(cqp->PostSend(r, local, 0, 64).ok());
+      EXPECT_TRUE(
+          cqp->PostWrite(r, local, 0, remote->remote_key(), 0, 256).ok());
+      EXPECT_TRUE(
+          cqp->PostRead(r, local, 512, remote->remote_key(), 0, 256).ok());
+      EXPECT_TRUE(
+          sqp->PostWrite(r, remote, 8192, local->remote_key(), 1024, 64).ok());
+    });
+    ASSERT_EQ(DrainN(cqp, 3).size(), 3u);
+    ASSERT_EQ(DrainN(sqp, 1).size(), 1u);
+  }
+  EXPECT_EQ(CommandsEnqueued(), steady);
+}
+
+// Break()/Fail() on the loop while the loop keeps posting and the
+// streams still carry big frames: the worker closing the fd races the
+// loop's direct sends and the EPOLLOUT remainder. Every post fails at
+// post time or completes exactly once, as kOk (acked before the break)
+// or kUnavailable (flushed).
+TEST_F(SocketStreamTest, BreakAndFailRacePostsFromTheLoop) {
+  constexpr uint64_t kLen = 256 * kKiB;
+  MemoryRegion* local = nullptr;
+  h_.Run([&] { local = client_nic_->RegisterMemory(kLen); });
+  for (net::ServerId server = 1; server <= 6; server++) {
+    QueuePair* cqp = nullptr;
+    QueuePair* sqp = nullptr;
+    Connect(server, &cqp, &sqp);
+    MemoryRegion* remote = nullptr;
+    h_.Run([&] { remote = h_.fabric().NicAt(server)->RegisterMemory(kLen); });
+    int accepted = 0;
+    int rejected = 0;
+    auto burst = [&] {
+      for (int i = 0; i < 4; i++) {
+        if (cqp->PostWrite(accepted, local, 0, remote->remote_key(), 0, kLen)
+                .ok()) {
+          accepted++;
+        } else {
+          rejected++;
+        }
+      }
+    };
+    // The break lands between bursts posted as separate loop tasks, so
+    // it meets frames still queued for EPOLLOUT and acks in flight.
+    for (int b = 0; b < 3; b++) h_.driver().Post(burst);
+    h_.driver().Post([&, server, cqp, sqp] {
+      switch (server % 3) {
+        case 0:
+          h_.fabric().NicAt(server)->Fail();
+          break;
+        case 1:
+          sqp->Break();  // the client learns it from the stream closing
+          break;
+        default:
+          cqp->Break();
+          break;
+      }
+    });
+    for (int b = 0; b < 3; b++) h_.driver().Post(burst);
+    ASSERT_TRUE(h_.Await([&] { return cqp->broken(); }));
+    h_.Run(burst);
+    int completed = 0;
+    ASSERT_TRUE(h_.Await([&] {
+      WorkCompletion wc;
+      while (cqp->send_cq().Poll(&wc, 1) == 1) {
+        EXPECT_EQ(wc.wr_id, static_cast<uint64_t>(completed));
+        EXPECT_TRUE(wc.status == StatusCode::kOk ||
+                    wc.status == StatusCode::kUnavailable)
+            << static_cast<int>(wc.status);
+        completed++;
+      }
+      return completed == accepted;
+    })) << completed << " of " << accepted << " posts completed";
+    EXPECT_GT(rejected, 0);
+    EXPECT_EQ(accepted + rejected, 28);
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Full-stack slice: the unmodified CacheClient/CacheServer stack runs
