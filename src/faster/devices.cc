@@ -22,7 +22,7 @@ void LocalMemoryDevice::ReadAsync(uint64_t offset, void* dst, uint64_t len,
   DeviceIo* io = io_pool_.Acquire();
   io->cb = std::move(cb);
   auto fire = [this, io] { Fire(io_pool_, io, Status::OK()); };
-  static_assert(sim::InlineFunction::fits_inline<decltype(fire)>(),
+  static_assert(sim::Simulation::Callback::fits_inline<decltype(fire)>(),
                 "device completion must not heap-allocate");
   sim_->After(latency_ns_, fire);
 }
@@ -33,7 +33,7 @@ void LocalMemoryDevice::WriteAsync(uint64_t offset, const void* src,
   DeviceIo* io = io_pool_.Acquire();
   io->cb = std::move(cb);
   auto fire = [this, io] { Fire(io_pool_, io, Status::OK()); };
-  static_assert(sim::InlineFunction::fits_inline<decltype(fire)>(),
+  static_assert(sim::Simulation::Callback::fits_inline<decltype(fire)>(),
                 "device completion must not heap-allocate");
   sim_->After(latency_ns_, fire);
 }
@@ -68,7 +68,7 @@ void SsdDevice::ReadAsync(uint64_t offset, void* dst, uint64_t len,
     store_.Read(io->offset, io->dst, io->len);
     Fire(io_pool_, io, Status::OK());
   };
-  static_assert(sim::InlineFunction::fits_inline<decltype(fire)>(),
+  static_assert(sim::Simulation::Callback::fits_inline<decltype(fire)>(),
                 "device completion must not heap-allocate");
   sim_->At(done, fire);
 }
@@ -82,7 +82,7 @@ void SsdDevice::WriteAsync(uint64_t offset, const void* src, uint64_t len,
   DeviceIo* io = io_pool_.Acquire();
   io->cb = std::move(cb);
   auto fire = [this, io] { Fire(io_pool_, io, Status::OK()); };
-  static_assert(sim::InlineFunction::fits_inline<decltype(fire)>(),
+  static_assert(sim::Simulation::Callback::fits_inline<decltype(fire)>(),
                 "device completion must not heap-allocate");
   sim_->At(done, fire);
 }
@@ -110,7 +110,7 @@ void SmbDirectDevice::ReadAsync(uint64_t offset, void* dst, uint64_t len,
     store_.Read(io->offset, io->dst, io->len);
     Fire(io_pool_, io, Status::OK());
   };
-  static_assert(sim::InlineFunction::fits_inline<decltype(fire)>(),
+  static_assert(sim::Simulation::Callback::fits_inline<decltype(fire)>(),
                 "device completion must not heap-allocate");
   sim_->At(done, fire);
 }
@@ -122,7 +122,7 @@ void SmbDirectDevice::WriteAsync(uint64_t offset, const void* src,
   DeviceIo* io = io_pool_.Acquire();
   io->cb = std::move(cb);
   auto fire = [this, io] { Fire(io_pool_, io, Status::OK()); };
-  static_assert(sim::InlineFunction::fits_inline<decltype(fire)>(),
+  static_assert(sim::Simulation::Callback::fits_inline<decltype(fire)>(),
                 "device completion must not heap-allocate");
   sim_->At(done, fire);
 }

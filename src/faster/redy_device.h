@@ -156,7 +156,7 @@ class RedyDevice : public IDevice {
                     attempts] {
         SubmitOne(log_offset, cache_addr, dst, src, len, p, attempts + 1);
       };
-      static_assert(sim::InlineFunction::fits_inline<decltype(retry)>(),
+      static_assert(sim::Simulation::Callback::fits_inline<decltype(retry)>(),
                     "submit retry must not heap-allocate");
       sim_->After(500, retry);
       return;

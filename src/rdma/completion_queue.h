@@ -5,8 +5,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/inline_callable.h"
 #include "rdma/rdma.h"
-#include "sim/inline_function.h"
 
 namespace redy::rdma {
 
@@ -51,7 +51,9 @@ class CompletionQueue {
   /// Observer invoked whenever a completion is pushed (the simulator's
   /// stand-in for a CQ doorbell/event). Used to Wake() parked pollers;
   /// must not change simulated state.
-  void SetNotifier(sim::InlineFunction fn) { on_push_ = std::move(fn); }
+  void SetNotifier(common::InlineCallable<void()> fn) {
+    on_push_ = std::move(fn);
+  }
 
   /// Fires the notifier without enqueueing a completion: the async
   /// error doorbell a QP rings when it transitions to the error state,
@@ -80,7 +82,7 @@ class CompletionQueue {
   std::vector<WorkCompletion> ring_;
   size_t head_ = 0;
   size_t tail_ = 0;
-  sim::InlineFunction on_push_;
+  common::InlineCallable<void()> on_push_;
 };
 
 }  // namespace redy::rdma

@@ -7,8 +7,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/inline_callable.h"
 #include "rdma/rdma.h"
-#include "sim/inline_function.h"
 
 namespace redy::rdma {
 
@@ -62,7 +62,7 @@ class MemoryRegion {
   /// simulator's stand-in for the cache-line snoop a busy-polling
   /// thread would observe. Work sources use it to Wake() parked
   /// pollers (DESIGN.md §9); it must not change simulated state.
-  void SetRemoteWriteNotifier(sim::InlineFunction fn) {
+  void SetRemoteWriteNotifier(common::InlineCallable<void()> fn) {
     on_remote_write_ = std::move(fn);
   }
   void NotifyRemoteWrite() {
@@ -76,7 +76,7 @@ class MemoryRegion {
   std::atomic<uint32_t> epoch_{0};
   std::atomic<bool> valid_{true};
   std::vector<uint8_t> data_;
-  sim::InlineFunction on_remote_write_;
+  common::InlineCallable<void()> on_remote_write_;
 };
 
 }  // namespace redy::rdma

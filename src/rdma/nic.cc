@@ -46,15 +46,9 @@ void Nic::DeregisterMemory(MemoryRegion* mr) {
   }
 }
 
-Result<MemoryRegion*> Nic::Resolve(RemoteKey key, bool check_epoch) {
-  auto it = regions_.find(key.rkey);
-  if (it == regions_.end() || !it->second->valid()) {
-    return Status::ProtectionError("no region for rkey");
-  }
-  if (check_epoch && key.epoch != it->second->epoch()) {
-    return Status::ProtectionError("stale rkey epoch");
-  }
-  return it->second.get();
+MemoryRegion* Nic::Resolve(uint32_t rkey) const {
+  auto it = regions_.find(rkey);
+  return it == regions_.end() ? nullptr : it->second.get();
 }
 
 QueuePair* Nic::CreateQueuePair(uint32_t max_depth) {
@@ -67,66 +61,21 @@ QueuePair* Nic::CreateQueuePair(uint32_t max_depth) {
   return out;
 }
 
-void Nic::CountWqePosted() {
+void Nic::Count(telemetry::Counter*& counter, const char* name, uint64_t n) {
   telemetry::Telemetry* tel = fabric_->telemetry();
   if (tel == nullptr) return;
-  if (wqe_posted_ == nullptr) {
-    wqe_posted_ = tel->metrics().GetCounter(
-        "rdma.wqe_posted", {{"server", std::to_string(server_)}});
+  if (counter == nullptr) {
+    counter = tel->metrics().GetCounter(
+        name, {{"server", std::to_string(server_)}});
   }
-  wqe_posted_->Inc();
+  counter->Inc(n);
 }
 
 void Nic::CountWqeCompleted(bool ok) {
-  telemetry::Telemetry* tel = fabric_->telemetry();
-  if (tel == nullptr) return;
-  if (wqe_completed_ == nullptr) {
-    const telemetry::Labels labels{{"server", std::to_string(server_)}};
-    wqe_completed_ = tel->metrics().GetCounter("rdma.wqe_completed", labels);
-    wqe_errors_ = tel->metrics().GetCounter("rdma.wqe_errors", labels);
-  }
-  wqe_completed_->Inc();
-  if (!ok) wqe_errors_->Inc();
-}
-
-void Nic::CountProtectionError() {
-  telemetry::Telemetry* tel = fabric_->telemetry();
-  if (tel == nullptr) return;
-  if (protection_errors_ == nullptr) {
-    protection_errors_ = tel->metrics().GetCounter(
-        "rdma.protection_errors", {{"server", std::to_string(server_)}});
-  }
-  protection_errors_->Inc();
-}
-
-void Nic::CountChainPosted() {
-  telemetry::Telemetry* tel = fabric_->telemetry();
-  if (tel == nullptr) return;
-  if (chain_posted_ == nullptr) {
-    chain_posted_ = tel->metrics().GetCounter(
-        "rdma.chain_posted", {{"server", std::to_string(server_)}});
-  }
-  chain_posted_->Inc();
-}
-
-void Nic::CountChainHop() {
-  telemetry::Telemetry* tel = fabric_->telemetry();
-  if (tel == nullptr) return;
-  if (chain_hops_ == nullptr) {
-    chain_hops_ = tel->metrics().GetCounter(
-        "rdma.chain_hops", {{"server", std::to_string(server_)}});
-  }
-  chain_hops_->Inc();
-}
-
-void Nic::CountChainAborted() {
-  telemetry::Telemetry* tel = fabric_->telemetry();
-  if (tel == nullptr) return;
-  if (chain_aborted_ == nullptr) {
-    chain_aborted_ = tel->metrics().GetCounter(
-        "rdma.chain_aborted", {{"server", std::to_string(server_)}});
-  }
-  chain_aborted_->Inc();
+  Count(wqe_completed_, "rdma.wqe_completed");
+  // Adding 0 still registers the error counter beside the first
+  // completion, so snapshots list both from the start.
+  Count(wqe_errors_, "rdma.wqe_errors", ok ? 0 : 1);
 }
 
 void Nic::DestroyQueuePair(QueuePair* qp) {

@@ -10,7 +10,6 @@
 
 #include "common/units.h"
 
-#include "common/result.h"
 #include "net/fabric_params.h"
 #include "net/link.h"
 #include "net/topology.h"
@@ -53,13 +52,9 @@ class Nic {
   /// Deregisters a region: remote accesses start failing.
   virtual void DeregisterMemory(MemoryRegion* mr);
 
-  /// Resolves an access token to a region on this NIC. Fails with
-  /// kProtectionError when the region is gone (deregistered) or, if
-  /// `check_epoch` is set, when the key's access epoch is stale — a
-  /// revoked rkey. WRITE landings check the epoch; READ landings pass
-  /// check_epoch=false (revoked regions stay readable, see
-  /// MemoryRegion::epoch()).
-  virtual Result<MemoryRegion*> Resolve(RemoteKey key, bool check_epoch = true);
+  /// The region registered under `rkey` on this NIC, or nullptr.
+  /// Whether an access may touch it is rdma::CheckAccess's call.
+  MemoryRegion* Resolve(uint32_t rkey) const;
 
   /// Creates a queue pair on this NIC (unconnected).
   virtual QueuePair* CreateQueuePair(uint32_t max_depth);
@@ -86,21 +81,26 @@ class Nic {
   /// Telemetry: per-NIC WQE counters, lazily registered under the
   /// fabric's telemetry with a {"server": N} label. No-ops (and cost
   /// one branch) when the fabric has no telemetry installed.
-  void CountWqePosted();
+  void CountWqePosted() { Count(wqe_posted_, "rdma.wqe_posted"); }
   void CountWqeCompleted(bool ok);
-  /// Counts a WQE rejected by the fence (stale epoch / dropped MR):
-  /// "rdma.protection_errors" with the same {"server": N} label.
-  void CountProtectionError();
+  /// Counts a remote access the responder fenced off (rdma::CheckAccess
+  /// gave kProtectionError): "rdma.protection_errors".
+  void CountProtectionError() {
+    Count(protection_errors_, "rdma.protection_errors");
+  }
   /// Chain telemetry ("rdma.chain_posted" / "rdma.chain_hops" /
   /// "rdma.chain_aborted"): one posted per doorbell, one hop per link
   /// the responder NIC actually executed, one aborted per chain that
   /// poisoned mid-flight.
-  void CountChainPosted();
-  void CountChainHop();
-  void CountChainAborted();
+  void CountChainPosted() { Count(chain_posted_, "rdma.chain_posted"); }
+  void CountChainHop() { Count(chain_hops_, "rdma.chain_hops"); }
+  void CountChainAborted() { Count(chain_aborted_, "rdma.chain_aborted"); }
 
  protected:
   friend class QueuePair;
+
+  /// Adds `n` to `counter`, registering it as `name` on first use.
+  void Count(telemetry::Counter*& counter, const char* name, uint64_t n = 1);
 
   sim::Simulation* sim_;
   Fabric* fabric_;

@@ -7,7 +7,6 @@
 
 #include "common/logging.h"
 #include "rdma/nic.h"
-#include "sim/inline_function.h"
 #include "telemetry/telemetry.h"
 
 namespace redy::rdma {
@@ -68,6 +67,26 @@ sim::SimTime QueuePair::IssueSlot(sim::SimTime earliest) {
   return slot;
 }
 
+QueuePair::Request QueuePair::StartRequest(bool fetch, uint64_t wire_bytes) {
+  outstanding_++;
+  Request r{};
+  r.seq = next_post_seq_++;
+  // Fault injection: a doomed WQE travels normally but completes with a
+  // transport error; degraded links add one-way latency.
+  FaultHooks* hooks = nic_->fabric()->fault_hooks();
+  const net::ServerId src = nic_->server();
+  const net::ServerId dst = peer_->nic_->server();
+  r.doomed = hooks != nullptr && hooks->WqeError(src, dst);
+  const uint64_t extra_ns =
+      hooks == nullptr ? 0 : hooks->ExtraLatencyNs(src, dst);
+  r.issue = IssueSlot(nic_->sim()->Now());
+  r.fetch_done = r.issue + (fetch ? nic_->params().pcie_fetch_ns : 0);
+  r.wire_end = nic_->tx_link().Reserve(r.fetch_done, wire_bytes);
+  r.arrive = r.wire_end + nic_->fabric()->OneWayNs(src, dst) + extra_ns;
+  nic_->CountWqePosted();
+  return r;
+}
+
 void QueuePair::Complete(uint64_t seq, WorkCompletion wc, sim::SimTime t) {
   REDY_CHECK(seq - next_deliver_seq_ < ready_.size());
   ReadySlot& slot = ready_[seq & (ready_.size() - 1)];
@@ -111,7 +130,7 @@ void QueuePair::DeliverReady() {
     };
     // Completion delivery runs once per WQE: it must never fall back to
     // a heap-allocated callback.
-    static_assert(sim::InlineFunction::fits_inline<decltype(deliver)>(),
+    static_assert(sim::Simulation::Callback::fits_inline<decltype(deliver)>(),
                   "QP completion-delivery lambda must stay inline");
     nic_->sim()->At(t, std::move(deliver));
   }
@@ -129,47 +148,28 @@ Status QueuePair::PostWrite(uint64_t wr_id, const MemoryRegion* mr,
   if (!mr->InBounds(local_offset, len)) {
     return Status::OutOfRange("local write source out of bounds");
   }
-  outstanding_++;
-  const uint64_t seq = next_post_seq_++;
-
-  const net::FabricParams& p = nic_->params();
   sim::Simulation* sim = nic_->sim();
-  const bool inlined = len <= p.inline_threshold_bytes;
-
-  // Fault injection: a doomed WQE travels normally but completes with a
-  // transport error; degraded links add one-way latency.
-  FaultHooks* hooks = nic_->fabric()->fault_hooks();
-  const net::ServerId src = nic_->server();
-  const net::ServerId dst = peer_->nic_->server();
-  const bool doomed = hooks != nullptr && hooks->WqeError(src, dst);
-  const uint64_t extra_ns =
-      hooks == nullptr ? 0 : hooks->ExtraLatencyNs(src, dst);
-
+  const bool inlined = len <= nic_->params().inline_threshold_bytes;
   // The per-QP pipeline is computed at post time so stages stay FIFO:
   // issue -> (PCIe fetch) -> wire serialization -> propagation -> DMA.
-  const sim::SimTime issue = IssueSlot(sim->Now());
-  const sim::SimTime fetch_done = issue + (inlined ? 0 : p.pcie_fetch_ns);
-  const sim::SimTime wire_end = nic_->tx_link().Reserve(fetch_done, len);
-  const sim::SimTime landed =
-      wire_end + nic_->fabric()->OneWayNs(src, dst) + p.nic_remote_dma_ns +
-      extra_ns;
+  const Request r = StartRequest(!inlined, len);
+  const sim::SimTime landed = r.arrive + nic_->params().nic_remote_dma_ns;
 
   // WQE lifecycle trace: the whole pipeline is known at post time, so
   // the span and its stage children are recorded here with their
   // precomputed timestamps (doorbell -> DMA fetch -> wire -> landed).
-  nic_->CountWqePosted();
   if (telemetry::SpanTracer* tr = ActiveTracer()) {
     const uint32_t tk = TraceTrack(*tr);
     const uint64_t span = tr->NextId();
     tr->Instant(tk, "doorbell", "wqe", sim->Now(), {"wr_id", wr_id});
-    tr->AsyncBegin(tk, "write", "wqe", span, issue, {"wr_id", wr_id},
+    tr->AsyncBegin(tk, "write", "wqe", span, r.issue, {"wr_id", wr_id},
                    {"len", len});
     if (!inlined) {
-      tr->AsyncBegin(tk, "dma_fetch", "wqe", span, issue);
-      tr->AsyncEnd(tk, "dma_fetch", "wqe", span, fetch_done);
+      tr->AsyncBegin(tk, "dma_fetch", "wqe", span, r.issue);
+      tr->AsyncEnd(tk, "dma_fetch", "wqe", span, r.fetch_done);
     }
-    tr->AsyncBegin(tk, "wire", "wqe", span, fetch_done);
-    tr->AsyncEnd(tk, "wire", "wqe", span, wire_end);
+    tr->AsyncBegin(tk, "wire", "wqe", span, r.fetch_done);
+    tr->AsyncEnd(tk, "wire", "wqe", span, r.wire_end);
     tr->AsyncEnd(tk, "write", "wqe", span, landed);
   }
 
@@ -187,29 +187,28 @@ Status QueuePair::PostWrite(uint64_t wr_id, const MemoryRegion* mr,
     auto fetch = [payload, fetch_src, len] {
       payload->assign(fetch_src, fetch_src + len);
     };
-    static_assert(sim::InlineFunction::fits_inline<decltype(fetch)>(),
+    static_assert(sim::Simulation::Callback::fits_inline<decltype(fetch)>(),
                   "PCIe-fetch lambda must stay inline");
-    sim->At(fetch_done, std::move(fetch));
+    sim->At(r.fetch_done, std::move(fetch));
   }
 
-  auto land = [this, seq, wr_id, key, doomed, remote_offset, len, payload]() {
+  auto land = [this, seq = r.seq, wr_id, key, doomed = r.doomed, remote_offset,
+               len, payload]() {
     WorkCompletion wc{wr_id, Opcode::kWrite, StatusCode::kOk,
                       static_cast<uint32_t>(len), 0};
     if (doomed || broken_ || peer_ == nullptr || peer_->nic_->failed()) {
       wc.status = StatusCode::kUnavailable;
     } else {
-      // The fence: a WRITE whose rkey no longer resolves (deregistered
-      // region) or carries a stale access epoch (revoked key) must not
-      // deposit a single byte — it completes with kProtectionError.
-      auto mr_or = peer_->nic_->Resolve(key);
-      if (!mr_or.ok()) {
-        wc.status = mr_or.status().code();
+      // The fence: a WRITE to a dropped region or under a revoked key
+      // completes with kProtectionError before it deposits a byte.
+      MemoryRegion* target = peer_->nic_->Resolve(key.rkey);
+      wc.status =
+          CheckAccess(target, key, AccessKind::kWrite, remote_offset, len);
+      if (wc.status == StatusCode::kOk) {
+        Deposit(target, remote_offset, payload->data(), len);
+        target->NotifyRemoteWrite();
+      } else if (wc.status == StatusCode::kProtectionError) {
         peer_->nic_->CountProtectionError();
-      } else if (!(*mr_or)->InBounds(remote_offset, len)) {
-        wc.status = StatusCode::kAborted;  // remote access error
-      } else {
-        std::memcpy((*mr_or)->data() + remote_offset, payload->data(), len);
-        (*mr_or)->NotifyRemoteWrite();
       }
     }
     ReleasePayload(payload);
@@ -218,7 +217,7 @@ Status QueuePair::PostWrite(uint64_t wr_id, const MemoryRegion* mr,
         nic_->fabric()->OneWayNs(nic_->server(), peer_->nic_->server());
     Complete(seq, wc, back);
   };
-  static_assert(sim::InlineFunction::fits_inline<decltype(land)>(),
+  static_assert(sim::Simulation::Callback::fits_inline<decltype(land)>(),
                 "write-landing lambda must stay inline");
   sim->At(landed, std::move(land));
   return Status::OK();
@@ -231,44 +230,30 @@ Status QueuePair::PostRead(uint64_t wr_id, MemoryRegion* mr,
   if (!mr->InBounds(local_offset, len)) {
     return Status::OutOfRange("local read destination out of bounds");
   }
-  outstanding_++;
-  const uint64_t seq = next_post_seq_++;
-
   sim::Simulation* sim = nic_->sim();
-
-  FaultHooks* hooks = nic_->fabric()->fault_hooks();
-  const net::ServerId src = nic_->server();
-  const net::ServerId dst = peer_->nic_->server();
-  const bool doomed = hooks != nullptr && hooks->WqeError(src, dst);
-  const uint64_t extra_ns =
-      hooks == nullptr ? 0 : hooks->ExtraLatencyNs(src, dst);
-
-  const sim::SimTime issue = IssueSlot(sim->Now());
   // Read request is header-only on the wire.
-  const sim::SimTime req_wire_end = nic_->tx_link().Reserve(issue, 0);
-  const sim::SimTime req_arrive =
-      req_wire_end + nic_->fabric()->OneWayNs(src, dst) + extra_ns;
+  const Request r = StartRequest(/*fetch=*/false, 0);
 
   // Request-side WQE trace; the response stages are recorded when the
   // request reaches the responder (they depend on its link state).
-  nic_->CountWqePosted();
   uint64_t span = 0;
   if (telemetry::SpanTracer* tr = ActiveTracer()) {
     const uint32_t tk = TraceTrack(*tr);
     span = tr->NextId();
     tr->Instant(tk, "doorbell", "wqe", sim->Now(), {"wr_id", wr_id});
-    tr->AsyncBegin(tk, "read", "wqe", span, issue, {"wr_id", wr_id},
+    tr->AsyncBegin(tk, "read", "wqe", span, r.issue, {"wr_id", wr_id},
                    {"len", len});
-    tr->AsyncBegin(tk, "req_wire", "wqe", span, issue);
-    tr->AsyncEnd(tk, "req_wire", "wqe", span, req_wire_end);
+    tr->AsyncBegin(tk, "req_wire", "wqe", span, r.issue);
+    tr->AsyncEnd(tk, "req_wire", "wqe", span, r.wire_end);
   }
 
   // The responder-arrival stage needs more context than the scheduler's
   // inline budget holds, so it travels as a pooled record and the event
   // captures three words.
   ReadOp* op = read_op_pool_.Acquire();
-  *op = ReadOp{wr_id, mr, local_offset, key, remote_offset, len, span, doomed};
-  auto arrive = [this, seq, op]() {
+  *op = ReadOp{wr_id, mr, local_offset, key, remote_offset, len, span,
+               r.doomed};
+  auto arrive = [this, seq = r.seq, op]() {
     const uint64_t wr_id = op->wr_id;
     MemoryRegion* mr = op->mr;
     const uint64_t local_offset = op->local_offset;
@@ -291,25 +276,18 @@ Status QueuePair::PostRead(uint64_t wr_id, MemoryRegion* mr,
         tr->AsyncEnd(TraceTrack(*tr), "read", "wqe", span, ts);
       }
     };
+    MemoryRegion* target = nullptr;
     if (doomed || broken_ || peer_ == nullptr || peer_->nic_->failed()) {
       wc.status = StatusCode::kUnavailable;
-      end_read_span(sim->Now());
-      Complete(seq, wc, sim->Now() + one_way);
-      return;
+    } else {
+      target = peer_->nic_->Resolve(key.rkey);
+      wc.status =
+          CheckAccess(target, key, AccessKind::kRead, remote_offset, len);
+      if (wc.status == StatusCode::kProtectionError) {
+        peer_->nic_->CountProtectionError();
+      }
     }
-    // Reads skip the epoch check: a revoked region is write-frozen but
-    // stays readable until deregistration (migration chunk copies read
-    // the frozen source through the cutover).
-    auto mr_or = peer_->nic_->Resolve(key, /*check_epoch=*/false);
-    if (!mr_or.ok()) {
-      wc.status = mr_or.status().code();
-      peer_->nic_->CountProtectionError();
-      end_read_span(sim->Now());
-      Complete(seq, wc, sim->Now() + one_way);
-      return;
-    }
-    if (!(*mr_or)->InBounds(remote_offset, len)) {
-      wc.status = StatusCode::kAborted;
+    if (wc.status != StatusCode::kOk) {
       end_read_span(sim->Now());
       Complete(seq, wc, sim->Now() + one_way);
       return;
@@ -317,8 +295,8 @@ Status QueuePair::PostRead(uint64_t wr_id, MemoryRegion* mr,
     // Responder NIC fetches the data over PCIe, then serializes the
     // response on its own transmit link.
     std::vector<uint8_t>* payload = AcquirePayload();
-    payload->assign((*mr_or)->data() + remote_offset,
-                    (*mr_or)->data() + remote_offset + len);
+    payload->assign(target->data() + remote_offset,
+                    target->data() + remote_offset + len);
     FaultHooks* hooks = nic_->fabric()->fault_hooks();
     const uint64_t resp_extra =
         hooks == nullptr
@@ -350,71 +328,44 @@ Status QueuePair::PostRead(uint64_t wr_id, MemoryRegion* mr,
       ReleasePayload(payload);
       Complete(seq, wc, nic_->sim()->Now());
     };
-    static_assert(sim::InlineFunction::fits_inline<decltype(land)>(),
+    static_assert(sim::Simulation::Callback::fits_inline<decltype(land)>(),
                   "read-landing lambda must stay inline");
     sim->At(landed, std::move(land));
   };
-  static_assert(sim::InlineFunction::fits_inline<decltype(arrive)>(),
+  static_assert(sim::Simulation::Callback::fits_inline<decltype(arrive)>(),
                 "read responder-arrival lambda must stay inline");
-  sim->At(req_arrive, std::move(arrive));
+  sim->At(r.arrive, std::move(arrive));
   return Status::OK();
 }
 
 Status QueuePair::PostChain(uint64_t wr_id, MemoryRegion* mr,
                             const ChainHop* hops, uint32_t num_hops) {
   REDY_RETURN_IF_ERROR(CheckPostable());
-  if (num_hops == 0 || num_hops > kMaxChainHops) {
-    return Status::InvalidArgument("bad chain length");
-  }
+  REDY_RETURN_IF_ERROR(ValidateChainShape(hops, num_hops));
   uint64_t write_bytes = 0;
   for (uint32_t i = 0; i < num_hops; i++) {
     const ChainHop& h = hops[i];
     if (!mr->InBounds(h.local_offset, h.len)) {
       return Status::OutOfRange("chain hop local range out of bounds");
     }
-    if (h.addr_from_prev &&
-        (i == 0 || hops[i - 1].is_write || hops[i - 1].len < 8)) {
-      return Status::InvalidArgument(
-          "dependent hop needs a preceding >=8 B read hop");
-    }
     if (h.is_write) write_bytes += h.len;
   }
-  outstanding_++;
-  const uint64_t seq = next_post_seq_++;
-
-  const net::FabricParams& p = nic_->params();
   sim::Simulation* sim = nic_->sim();
-  const bool inlined = write_bytes <= p.inline_threshold_bytes;
-
-  FaultHooks* hooks = nic_->fabric()->fault_hooks();
-  const net::ServerId src = nic_->server();
-  const net::ServerId dst = peer_->nic_->server();
-  const bool doomed = hooks != nullptr && hooks->WqeError(src, dst);
-  const uint64_t extra_ns =
-      hooks == nullptr ? 0 : hooks->ExtraLatencyNs(src, dst);
-
   // One doorbell posts the whole chain: the request carries every hop
   // descriptor plus any write-hop payloads, then the responder NIC runs
   // the links locally. Client-side there is exactly one pipeline pass.
-  const sim::SimTime issue = IssueSlot(sim->Now());
-  const sim::SimTime fetch_done =
-      issue + (write_bytes > 0 && !inlined ? p.pcie_fetch_ns : 0);
-  const sim::SimTime req_wire_end =
-      nic_->tx_link().Reserve(fetch_done, write_bytes);
-  const sim::SimTime req_arrive =
-      req_wire_end + nic_->fabric()->OneWayNs(src, dst) + extra_ns;
-
-  nic_->CountWqePosted();
+  const Request r = StartRequest(
+      write_bytes > nic_->params().inline_threshold_bytes, write_bytes);
   nic_->CountChainPosted();
   uint64_t span = 0;
   if (telemetry::SpanTracer* tr = ActiveTracer()) {
     const uint32_t tk = TraceTrack(*tr);
     span = tr->NextId();
     tr->Instant(tk, "doorbell", "wqe", sim->Now(), {"wr_id", wr_id});
-    tr->AsyncBegin(tk, "chain", "wqe", span, issue, {"wr_id", wr_id},
+    tr->AsyncBegin(tk, "chain", "wqe", span, r.issue, {"wr_id", wr_id},
                    {"hops", num_hops});
-    tr->AsyncBegin(tk, "req_wire", "wqe", span, fetch_done);
-    tr->AsyncEnd(tk, "req_wire", "wqe", span, req_wire_end);
+    tr->AsyncBegin(tk, "req_wire", "wqe", span, r.fetch_done);
+    tr->AsyncEnd(tk, "req_wire", "wqe", span, r.wire_end);
   }
 
   // Write-hop payloads snapshot at post time (inlined into the WQE
@@ -437,24 +388,23 @@ Status QueuePair::PostChain(uint64_t wr_id, MemoryRegion* mr,
   op->mr = mr;
   std::copy(hops, hops + num_hops, op->hops);
   op->num_hops = num_hops;
-  op->hop = 0;
-  op->prev_word = 0;
-  op->total_read = 0;
+  op->cursor =
+      ChainCursor(op->hops, num_hops, wpay == nullptr ? nullptr : wpay->data());
   op->span = span;
-  op->doomed = doomed;
-  op->rpay = nullptr;
+  op->doomed = r.doomed;
+  op->rpay = AcquirePayload();
+  op->rpay->clear();
   op->wpay = wpay;
-  op->wpay_off = 0;
 
-  auto arrive = [this, seq, op]() { ChainStep(seq, op); };
-  static_assert(sim::InlineFunction::fits_inline<decltype(arrive)>(),
+  auto arrive = [this, seq = r.seq, op]() { ChainStep(seq, op); };
+  static_assert(sim::Simulation::Callback::fits_inline<decltype(arrive)>(),
                 "chain responder-arrival lambda must stay inline");
-  sim->At(req_arrive, std::move(arrive));
+  sim->At(r.arrive, std::move(arrive));
   return Status::OK();
 }
 
 void QueuePair::ReleaseChainOp(ChainOp* op) {
-  if (op->rpay != nullptr) ReleasePayload(op->rpay);
+  ReleasePayload(op->rpay);
   if (op->wpay != nullptr) ReleasePayload(op->wpay);
   chain_op_pool_.Release(op);
 }
@@ -491,67 +441,43 @@ void QueuePair::ChainStep(uint64_t seq, ChainOp* op) {
   // Each WAIT-gate re-consults the fault hooks: a link flap that opens
   // after hop N kills hop N+1 mid-chain (hop 0 is covered by the
   // post-time `doomed` roll, exactly like a plain READ).
-  if (op->hop > 0 && hooks != nullptr &&
+  const uint32_t hop = op->cursor.hops_done();
+  if (hop > 0 && hooks != nullptr &&
       hooks->WqeError(nic_->server(), peer_->nic_->server())) {
     ChainAbort(seq, op, StatusCode::kUnavailable);
     return;
   }
 
-  const ChainHop& h = op->hops[op->hop];
-  // Chains fence EVERY hop, reads included: a dependent chase must not
-  // follow a pointer into a region whose access epoch moved mid-chain
-  // (plain READs pass check_epoch=false; see PostRead).
-  auto mr_or = peer_->nic_->Resolve(h.key, /*check_epoch=*/true);
-  if (!mr_or.ok()) {
-    peer_->nic_->CountProtectionError();
-    ChainAbort(seq, op, mr_or.status().code());
-    return;
-  }
-  uint64_t ro = h.remote_offset;
-  if (h.addr_from_prev) {
-    ro += (op->prev_word & h.addr_mask) >> h.addr_shift;
-  }
-  if (!(*mr_or)->InBounds(ro, h.len)) {
-    ChainAbort(seq, op, StatusCode::kAborted);
-    return;
-  }
-
-  if (h.is_write) {
-    std::memcpy((*mr_or)->data() + ro, op->wpay->data() + op->wpay_off, h.len);
-    op->wpay_off += h.len;
-    (*mr_or)->NotifyRemoteWrite();
-  } else {
-    if (op->rpay == nullptr) {
-      op->rpay = AcquirePayload();
-      op->rpay->clear();
+  const ChainHop& h = op->cursor.next();
+  MemoryRegion* target = peer_->nic_->Resolve(h.key.rkey);
+  const StatusCode code = op->cursor.Step(target, op->rpay);
+  if (code != StatusCode::kOk) {
+    if (code == StatusCode::kProtectionError) {
+      peer_->nic_->CountProtectionError();
     }
-    const uint8_t* data = (*mr_or)->data() + ro;
-    op->rpay->insert(op->rpay->end(), data, data + h.len);
-    uint64_t word = 0;
-    std::memcpy(&word, data, h.len < 8 ? h.len : 8);
-    op->prev_word = word;
-    op->total_read += h.len;
+    ChainAbort(seq, op, code);
+    return;
   }
+  if (h.is_write) target->NotifyRemoteWrite();
 
   nic_->CountChainHop();
   if (op->span != 0) {
     if (telemetry::SpanTracer* tr = ActiveTracer()) {
       const uint32_t tk = TraceTrack(*tr);
       tr->AsyncBegin(tk, "hop_fetch", "wqe", op->span, sim->Now(),
-                     {"hop", op->hop});
+                     {"hop", hop});
       tr->AsyncEnd(tk, "hop_fetch", "wqe", op->span,
                    sim->Now() + p.pcie_fetch_ns);
     }
   }
 
-  op->hop++;
-  if (op->hop < op->num_hops) {
+  if (!op->cursor.done()) {
     // Next link fires once this hop's PCIe fetch retires and the NIC's
     // WAIT-on-CQ gate sequences the dependent WQE.
     const sim::SimTime next =
         sim->Now() + p.pcie_fetch_ns + p.nic_chain_step_ns;
     auto step = [this, seq, op]() { ChainStep(seq, op); };
-    static_assert(sim::InlineFunction::fits_inline<decltype(step)>(),
+    static_assert(sim::Simulation::Callback::fits_inline<decltype(step)>(),
                   "chain-step lambda must stay inline");
     sim->At(next, std::move(step));
     return;
@@ -567,7 +493,7 @@ void QueuePair::ChainStep(uint64_t seq, ChainOp* op) {
           : hooks->ExtraLatencyNs(peer_->nic_->server(), nic_->server());
   const sim::SimTime fetch_done = sim->Now() + p.pcie_fetch_ns;
   const sim::SimTime resp_wire_end =
-      peer_->nic_->tx_link().Reserve(fetch_done, op->total_read);
+      peer_->nic_->tx_link().Reserve(fetch_done, op->rpay->size());
   const sim::SimTime landed =
       resp_wire_end + one_way + p.nic_remote_dma_ns + resp_extra;
   if (op->span != 0) {
@@ -579,26 +505,19 @@ void QueuePair::ChainStep(uint64_t seq, ChainOp* op) {
     }
   }
   auto land = [this, seq, op]() { ChainLand(seq, op); };
-  static_assert(sim::InlineFunction::fits_inline<decltype(land)>(),
+  static_assert(sim::Simulation::Callback::fits_inline<decltype(land)>(),
                 "chain-landing lambda must stay inline");
   sim->At(landed, std::move(land));
 }
 
 void QueuePair::ChainLand(uint64_t seq, ChainOp* op) {
   WorkCompletion wc{op->wr_id, Opcode::kChain, StatusCode::kOk,
-                    static_cast<uint32_t>(op->total_read), 0};
+                    static_cast<uint32_t>(op->rpay->size()), 0};
   if (broken_) {
     wc.status = StatusCode::kUnavailable;
-  } else if (op->rpay != nullptr) {
-    // Scatter the concatenated read payloads to each hop's local
-    // landing offset, in hop order.
-    const uint8_t* from = op->rpay->data();
-    for (uint32_t i = 0; i < op->num_hops; i++) {
-      const ChainHop& h = op->hops[i];
-      if (h.is_write) continue;
-      std::memcpy(op->mr->data() + h.local_offset, from, h.len);
-      from += h.len;
-    }
+    wc.byte_len = 0;  // a failed chain lands nothing
+  } else {
+    ScatterChainReads(op->mr, op->hops, op->num_hops, op->rpay->data());
   }
   const sim::SimTime now = nic_->sim()->Now();
   ReleaseChainOp(op);
@@ -611,45 +530,28 @@ Status QueuePair::PostSend(uint64_t wr_id, const MemoryRegion* mr,
   if (!mr->InBounds(local_offset, len)) {
     return Status::OutOfRange("send source out of bounds");
   }
-  outstanding_++;
-  const uint64_t seq = next_post_seq_++;
-
-  const net::FabricParams& p = nic_->params();
   sim::Simulation* sim = nic_->sim();
-  const bool inlined = len <= p.inline_threshold_bytes;
-
-  FaultHooks* hooks = nic_->fabric()->fault_hooks();
-  const net::ServerId src = nic_->server();
-  const net::ServerId dst = peer_->nic_->server();
-  const bool doomed = hooks != nullptr && hooks->WqeError(src, dst);
-  const uint64_t extra_ns =
-      hooks == nullptr ? 0 : hooks->ExtraLatencyNs(src, dst);
-
-  const sim::SimTime issue = IssueSlot(sim->Now());
-  const sim::SimTime fetch_done = issue + (inlined ? 0 : p.pcie_fetch_ns);
-  const sim::SimTime wire_end = nic_->tx_link().Reserve(fetch_done, len);
-  const sim::SimTime landed =
-      wire_end + nic_->fabric()->OneWayNs(src, dst) + p.nic_remote_dma_ns +
-      extra_ns;
-  nic_->CountWqePosted();
+  const bool inlined = len <= nic_->params().inline_threshold_bytes;
+  const Request r = StartRequest(!inlined, len);
+  const sim::SimTime landed = r.arrive + nic_->params().nic_remote_dma_ns;
   if (telemetry::SpanTracer* tr = ActiveTracer()) {
     const uint32_t tk = TraceTrack(*tr);
     const uint64_t span = tr->NextId();
     tr->Instant(tk, "doorbell", "wqe", sim->Now(), {"wr_id", wr_id});
-    tr->AsyncBegin(tk, "send", "wqe", span, issue, {"wr_id", wr_id},
+    tr->AsyncBegin(tk, "send", "wqe", span, r.issue, {"wr_id", wr_id},
                    {"len", len});
     if (!inlined) {
-      tr->AsyncBegin(tk, "dma_fetch", "wqe", span, issue);
-      tr->AsyncEnd(tk, "dma_fetch", "wqe", span, fetch_done);
+      tr->AsyncBegin(tk, "dma_fetch", "wqe", span, r.issue);
+      tr->AsyncEnd(tk, "dma_fetch", "wqe", span, r.fetch_done);
     }
-    tr->AsyncBegin(tk, "wire", "wqe", span, fetch_done);
-    tr->AsyncEnd(tk, "wire", "wqe", span, wire_end);
+    tr->AsyncBegin(tk, "wire", "wqe", span, r.fetch_done);
+    tr->AsyncEnd(tk, "wire", "wqe", span, r.wire_end);
     tr->AsyncEnd(tk, "send", "wqe", span, landed);
   }
   std::vector<uint8_t>* payload = AcquirePayload();
   payload->assign(mr->data() + local_offset, mr->data() + local_offset + len);
 
-  auto land = [this, seq, wr_id, len, payload, doomed]() {
+  auto land = [this, seq = r.seq, wr_id, len, payload, doomed = r.doomed]() {
     WorkCompletion wc{wr_id, Opcode::kSend, StatusCode::kOk,
                       static_cast<uint32_t>(len), 0};
     sim::SimTime back = nic_->sim()->Now();
@@ -658,31 +560,29 @@ Status QueuePair::PostSend(uint64_t wr_id, const MemoryRegion* mr,
     } else {
       back +=
           nic_->fabric()->OneWayNs(nic_->server(), peer_->nic_->server());
-      if (peer_->posted_recvs_.empty()) {
-        // Receiver-not-ready: a real RC QP would retry; the Redy
-        // protocol pre-posts receives, so treat it as an error.
-        wc.status = StatusCode::kFailedPrecondition;
-      } else {
-        PostedRecv rv = peer_->posted_recvs_.front();
-        peer_->posted_recvs_.pop_front();
-        if (rv.capacity < len) {
-          wc.status = StatusCode::kOutOfRange;
-        } else {
-          std::memcpy(rv.mr->data() + rv.offset, payload->data(), len);
-          rv.mr->NotifyRemoteWrite();
-          WorkCompletion rwc{rv.wr_id, Opcode::kRecv, StatusCode::kOk,
-                             static_cast<uint32_t>(len), nic_->sim()->Now()};
-          peer_->recv_cq_.Push(rwc);
-        }
-      }
+      wc.status = peer_->AcceptSend(payload->data(), len);
     }
     ReleasePayload(payload);
     Complete(seq, wc, back);
   };
-  static_assert(sim::InlineFunction::fits_inline<decltype(land)>(),
+  static_assert(sim::Simulation::Callback::fits_inline<decltype(land)>(),
                 "send-landing lambda must stay inline");
   sim->At(landed, std::move(land));
   return Status::OK();
+}
+
+StatusCode QueuePair::AcceptSend(const uint8_t* data, uint64_t len) {
+  // Receiver-not-ready: a real RC QP would retry; the Redy protocol
+  // pre-posts receives, so it is an error.
+  if (posted_recvs_.empty()) return StatusCode::kFailedPrecondition;
+  const PostedRecv rv = posted_recvs_.front();
+  posted_recvs_.pop_front();
+  if (len > rv.capacity) return StatusCode::kOutOfRange;
+  Deposit(rv.mr, rv.offset, data, len);
+  rv.mr->NotifyRemoteWrite();
+  recv_cq_.Push(WorkCompletion{rv.wr_id, Opcode::kRecv, StatusCode::kOk,
+                               static_cast<uint32_t>(len), nic_->sim()->Now()});
+  return StatusCode::kOk;
 }
 
 Status QueuePair::PostRecv(uint64_t wr_id, MemoryRegion* mr, uint64_t offset,

@@ -11,6 +11,8 @@
 #include "rdma/completion_queue.h"
 #include "rdma/memory_region.h"
 #include "rdma/rdma.h"
+#include "rdma/responder.h"
+#include "sim/simulation.h"
 
 namespace redy::telemetry {
 class SpanTracer;
@@ -152,14 +154,11 @@ class QueuePair {
     MemoryRegion* mr;
     ChainHop hops[kMaxChainHops];
     uint32_t num_hops;
-    uint32_t hop;                // responder cursor: next hop to execute
-    uint64_t prev_word;          // first 8 B of the last READ hop's payload
-    uint64_t total_read;         // read bytes accumulated so far
+    ChainCursor cursor;          // responder progress through `hops`
     uint64_t span;               // chain trace span (0 = tracing off)
     bool doomed;                 // fault-injected at post time
     std::vector<uint8_t>* rpay;  // concatenated read payloads (pooled)
     std::vector<uint8_t>* wpay;  // concatenated write payloads (pooled)
-    uint64_t wpay_off;           // consumed prefix of wpay
   };
 
   /// Responder-side chain machinery (sim backend): executes one hop at
@@ -169,6 +168,25 @@ class QueuePair {
   void ChainLand(uint64_t seq, ChainOp* op);
   void ChainAbort(uint64_t seq, ChainOp* op, StatusCode code);
   void ReleaseChainOp(ChainOp* op);
+
+  /// Receiver side of a SEND, on both backends: lands `len` bytes in
+  /// the oldest posted receive and pushes its completion, or returns
+  /// why they cannot land.
+  StatusCode AcceptSend(const uint8_t* data, uint64_t len);
+
+  /// The requester half every post shares, computed at post time: a
+  /// queue slot and the next post sequence number, the fault-hook roll,
+  /// and the FIFO pipeline — issue, an optional PCIe fetch, `wire_bytes`
+  /// of serialization on the transmit link, propagation.
+  struct Request {
+    uint64_t seq;
+    bool doomed;
+    sim::SimTime issue;
+    sim::SimTime fetch_done;
+    sim::SimTime wire_end;
+    sim::SimTime arrive;  // at the responder NIC
+  };
+  Request StartRequest(bool fetch, uint64_t wire_bytes);
 
   Status CheckPostable() const;
   /// Reserves the NIC issue slot honoring the per-QP WQE rate cap.

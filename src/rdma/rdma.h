@@ -4,7 +4,6 @@
 #include <cstdint>
 
 #include "common/status.h"
-#include "sim/simulation.h"
 
 namespace redy::rdma {
 
@@ -75,7 +74,7 @@ struct WorkCompletion {
   Opcode opcode = Opcode::kWrite;
   StatusCode status = StatusCode::kOk;
   uint32_t byte_len = 0;
-  sim::SimTime completed_at = 0;
+  uint64_t completed_at = 0;  // ns on the backend's clock (sim::SimTime)
 };
 
 }  // namespace redy::rdma

@@ -5,7 +5,6 @@
 
 #include "chaos/buggify.h"
 #include "common/logging.h"
-#include "sim/inline_function.h"
 
 namespace redy {
 
@@ -1251,7 +1250,7 @@ Result<CacheClient::Connection*> CacheClient::EnsureConnection(
   const CacheId wake_id = cache.id;
   const uint32_t wake_thread = thread.index;
   auto wake = [this, wake_id, wake_thread] { WakeThread(wake_id, wake_thread); };
-  static_assert(sim::InlineFunction::fits_inline<decltype(wake)>(),
+  static_assert(sim::Simulation::Callback::fits_inline<decltype(wake)>(),
                 "poller wake notifier must stay inline");
   conn->qp->send_cq().SetNotifier(wake);
 

@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "common/logging.h"
-#include "sim/inline_function.h"
 
 namespace redy {
 
@@ -434,8 +433,9 @@ uint64_t CacheServer::ProcessBatch(Connection& conn, uint32_t backlog,
     while (conn_ptr->qp->send_cq().Poll(&wc, 1) == 1) {
     }
   };
-  static_assert(sim::InlineFunction::fits_inline<decltype(deferred_post)>(),
-                "deferred response post must not heap-allocate");
+  static_assert(
+      sim::Simulation::Callback::fits_inline<decltype(deferred_post)>(),
+      "deferred response post must not heap-allocate");
   sim_->After(consumed, std::move(deferred_post));
 
   conn.next_seq++;

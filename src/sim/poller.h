@@ -110,7 +110,7 @@ class Poller {
     };
     // The per-tick reschedule is the hottest scheduling site in the
     // repo; it must never fall back to a heap allocation.
-    static_assert(InlineFunction::fits_inline<decltype(tick)>(),
+    static_assert(Simulation::Callback::fits_inline<decltype(tick)>(),
                   "Poller tick lambda must stay inline");
     pending_ = sim_->After(delay, std::move(tick));
   }

@@ -13,7 +13,6 @@
 
 #include "common/logging.h"
 #include "ringbuf/spsc_ring.h"
-#include "sim/inline_function.h"
 #include "sim/simulation.h"
 
 namespace redy::sim {
@@ -102,7 +101,7 @@ class ShardedEngine {
     }
     REDY_CHECK(t >= parts_[src]->sim.Now() + lookahead_);
     Channel& ch = *parts_[dst]->in[src];
-    Msg m{t, ch.seq++, src, InlineFunction(std::forward<F>(fn))};
+    Msg m{t, ch.seq++, src, Simulation::Callback(std::forward<F>(fn))};
     ch.sent++;
     // Once a window starts spilling, keep spilling: the consumer
     // replays ring-then-spill, so mixing after an overflow would
@@ -136,7 +135,7 @@ class ShardedEngine {
     SimTime time = 0;
     uint64_t seq = 0;
     uint32_t src = 0;
-    InlineFunction fn;
+    Simulation::Callback fn;
   };
 
   /// SPSC channel for one ordered (src, dst) partition pair. The

@@ -5,7 +5,7 @@
 #include <memory>
 #include <vector>
 
-#include "sim/inline_function.h"
+#include "common/inline_callable.h"
 
 namespace redy::sim {
 
@@ -20,7 +20,7 @@ using SimTime = uint64_t;
 ///
 /// Engine internals (DESIGN.md §9): events live in slab-pooled records
 /// reused through a free list — no per-event heap allocation as long as
-/// the callback fits InlineFunction's inline budget. A 4-ary min-heap
+/// the callback fits Callback's inline budget. A 4-ary min-heap
 /// of (time, seq, slot) index entries orders them, so sift traffic
 /// stays inside one contiguous array and never touches the pooled
 /// records. Handles are generation-tagged and Cancel() is O(1) slot
@@ -31,7 +31,7 @@ using SimTime = uint64_t;
 /// instead of corrupting accounting.
 class Simulation {
  public:
-  using Callback = InlineFunction;
+  using Callback = common::InlineCallable<void()>;
 
   Simulation() = default;
   Simulation(const Simulation&) = delete;
@@ -44,7 +44,7 @@ class Simulation {
   /// Schedules `f` to run at absolute time `t` (clamped to Now()).
   /// Returns a generation-tagged handle usable with Cancel(). The
   /// callable is constructed directly into the pooled record — no
-  /// intermediate InlineFunction hop on the hot path.
+  /// intermediate Callback hop on the hot path.
   template <typename F,
             typename = std::enable_if_t<
                 !std::is_same_v<std::decay_t<F>, Callback>>>

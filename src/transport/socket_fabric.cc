@@ -8,16 +8,14 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 
 #include "common/logging.h"
+#include "rdma/responder.h"
 #include "telemetry/telemetry.h"
 
 namespace redy::transport {
 
 namespace {
-
-constexpr uint8_t Code(StatusCode c) { return static_cast<uint8_t>(c); }
 
 /// Dials host:port with a plain blocking socket. Connect() is a setup
 /// path (the deterministic stack connects once per client/server pair),
@@ -215,9 +213,7 @@ Status SocketQueuePair::PostChain(uint64_t wr_id, rdma::MemoryRegion* mr,
                                   const rdma::ChainHop* hops,
                                   uint32_t num_hops) {
   REDY_RETURN_IF_ERROR(CheckSendable());
-  if (num_hops == 0 || num_hops > rdma::kMaxChainHops) {
-    return Status::InvalidArgument("bad chain length");
-  }
+  REDY_RETURN_IF_ERROR(rdma::ValidateChainShape(hops, num_hops));
   // Validate and size first; then assemble the one request frame (all
   // descriptors, then the write hops' payloads) in place.
   uint64_t write_bytes = 0;
@@ -225,11 +221,6 @@ Status SocketQueuePair::PostChain(uint64_t wr_id, rdma::MemoryRegion* mr,
     const rdma::ChainHop& h = hops[i];
     if (!mr->InBounds(h.local_offset, h.len)) {
       return Status::OutOfRange("chain hop local range outside region");
-    }
-    if (h.addr_from_prev &&
-        (i == 0 || hops[i - 1].is_write || hops[i - 1].len < 8)) {
-      return Status::InvalidArgument(
-          "dependent hop needs a preceding >=8 B read hop");
     }
     if (h.is_write) write_bytes += h.len;
   }
@@ -245,6 +236,8 @@ Status SocketQueuePair::PostChain(uint64_t wr_id, rdma::MemoryRegion* mr,
   op.wr_id = wr_id;
   op.opcode = rdma::Opcode::kChain;
   op.mr = mr;
+  op.num_hops = num_hops;
+  std::copy(hops, hops + num_hops, op.hops.begin());
   for (uint32_t i = 0; i < num_hops; i++) {
     const rdma::ChainHop& h = hops[i];
     ChainHopWire w;
@@ -262,7 +255,6 @@ Status SocketQueuePair::PostChain(uint64_t wr_id, rdma::MemoryRegion* mr,
       std::memcpy(wpay, mr->data() + h.local_offset, h.len);
       wpay += h.len;
     } else {
-      op.landings[op.num_landings++] = Landing{h.local_offset, h.len};
       op.len += static_cast<uint32_t>(h.len);
     }
     std::memcpy(desc + i * sizeof(ChainHopWire), &w, sizeof(w));
@@ -304,32 +296,22 @@ void SocketQueuePair::Retire(PendingOp& op) {
   rdma::WorkCompletion wc{op.wr_id, op.opcode, op.status, op.len,
                           nic()->sim()->Now()};
   const std::vector<uint8_t>& payload = op.payload;
+  const bool lands = op.opcode == rdma::Opcode::kRead ||
+                     op.opcode == rdma::Opcode::kChain;
+  if (lands && wc.status == StatusCode::kOk && payload.size() != op.len) {
+    wc.status = StatusCode::kAborted;
+  }
   if (op.opcode == rdma::Opcode::kRead && wc.status == StatusCode::kOk) {
-    if (payload.size() == op.len && op.mr->InBounds(op.local_offset, op.len)) {
-      std::memcpy(op.mr->data() + op.local_offset, payload.data(), op.len);
-    } else {
-      wc.status = StatusCode::kAborted;
-    }
+    std::memcpy(op.mr->data() + op.local_offset, payload.data(), op.len);
   }
   if (op.opcode == rdma::Opcode::kChain) {
     // Mirror the sim's counter placement: hops/aborts accrue on the
     // initiator NIC. `aux` is the responder's executed-hop count.
     for (uint64_t i = 0; i < op.aux; i++) nic()->CountChainHop();
     if (wc.status == StatusCode::kOk) {
-      if (payload.size() == op.len) {
-        // Scatter the concatenated read payloads to each read hop's
-        // local landing offset, in hop order.
-        const uint8_t* from = payload.data();
-        for (uint32_t i = 0; i < op.num_landings; i++) {
-          const Landing& l = op.landings[i];
-          std::memcpy(op.mr->data() + l.local_offset, from, l.len);
-          from += l.len;
-        }
-      } else {
-        wc.status = StatusCode::kAborted;
-      }
-    }
-    if (wc.status != StatusCode::kOk) {
+      rdma::ScatterChainReads(op.mr, op.hops.data(), op.num_hops,
+                              payload.data());
+    } else {
       // A poisoned chain lands nothing: one error completion, zero
       // bytes (the responder never shipped any payload past the fault).
       wc.byte_len = 0;
@@ -339,30 +321,6 @@ void SocketQueuePair::Retire(PendingOp& op) {
   outstanding_--;
   nic()->CountWqeCompleted(wc.status == StatusCode::kOk);
   send_cq_.Push(wc);
-}
-
-StatusCode SocketQueuePair::AcceptIncomingSend(
-    const std::vector<uint8_t>& payload) {
-  if (broken_) return StatusCode::kUnavailable;
-  if (posted_recvs_.empty()) {
-    // The sim rejects a SEND with no posted receive at post time (the
-    // peer's state is visible); over a real transport the receiver can
-    // only report it in the completion. Same code, different leg.
-    return StatusCode::kFailedPrecondition;
-  }
-  const PostedRecv rv = posted_recvs_.front();
-  posted_recvs_.pop_front();
-  if (payload.size() > rv.capacity ||
-      !rv.mr->InBounds(rv.offset, payload.size())) {
-    return StatusCode::kOutOfRange;
-  }
-  std::memcpy(rv.mr->data() + rv.offset, payload.data(), payload.size());
-  recv_cq_.Push(rdma::WorkCompletion{rv.wr_id, rdma::Opcode::kRecv,
-                                     StatusCode::kOk,
-                                     static_cast<uint32_t>(payload.size()),
-                                     nic()->sim()->Now()});
-  rv.mr->NotifyRemoteWrite();
-  return StatusCode::kOk;
 }
 
 void SocketQueuePair::Break() {
@@ -375,8 +333,10 @@ void SocketQueuePair::Break() {
     const PendingOp& op = pending_[i];
     outstanding_--;
     nic()->CountWqeCompleted(false);
+    // A failed chain lands nothing, so it reports no bytes.
+    const uint32_t byte_len = op.opcode == rdma::Opcode::kChain ? 0 : op.len;
     send_cq_.Push(rdma::WorkCompletion{op.wr_id, op.opcode,
-                                       StatusCode::kUnavailable, op.len,
+                                       StatusCode::kUnavailable, byte_len,
                                        nic()->sim()->Now()});
   }
   pending_.clear();
@@ -538,7 +498,12 @@ SocketFabric::SocketFabric(sim::Simulation* sim, WallClockDriver* driver,
   });
 }
 
-SocketFabric::~SocketFabric() { ShutdownTransport(); }
+SocketFabric::~SocketFabric() {
+  ShutdownTransport();
+  // The NICs reach back into this fabric's responder table as they go,
+  // so they must go while it is still a SocketFabric.
+  nics_.clear();
+}
 
 void SocketFabric::ShutdownTransport() { pool_.Stop(); }
 
@@ -617,23 +582,38 @@ void SocketFabric::OnFrame(const WorkerPool::ConnRef& conn,
     case FrameType::kWrite: {
       // The one-sided responder path: fence + deposit right here on the
       // worker. The application loop never sees the op (DESIGN.md §13).
-      const uint8_t status = ApplyWrite(hdr, payload);
-      FrameHeader ack;
-      ack.type = static_cast<uint8_t>(FrameType::kWriteAck);
-      ack.status = status;
-      ack.token = hdr.token;
-      pool_.Send(conn, EncodeFrame(ack, nullptr, 0));
+      const StatusCode status =
+          WithSharedMr(hdr.rkey, [&](rdma::MemoryRegion* mr) {
+            const StatusCode code =
+                rdma::CheckAccess(mr, {hdr.rkey, hdr.epoch},
+                                  rdma::AccessKind::kWrite, hdr.offset,
+                                  payload.size());
+            if (code == StatusCode::kOk) {
+              rdma::Deposit(mr, hdr.offset, payload.data(), payload.size());
+              driver_->Post(
+                  [this, rkey = hdr.rkey] { NotifyRemoteWriteOnLoop(rkey); });
+            }
+            return code;
+          });
+      Respond(conn, bound_token, FrameType::kWriteAck, hdr.token, status, 0,
+              {});
       return;
     }
     case FrameType::kRead: {
       std::vector<uint8_t> data;
-      const uint8_t status = SnapshotRead(hdr, &data);
-      FrameHeader resp;
-      resp.type = static_cast<uint8_t>(FrameType::kReadResp);
-      resp.status = status;
-      resp.token = hdr.token;
-      resp.aux = data.size();
-      pool_.Send(conn, EncodeFrame(resp, data.data(), data.size()));
+      const StatusCode status =
+          WithSharedMr(hdr.rkey, [&](rdma::MemoryRegion* mr) {
+            const StatusCode code =
+                rdma::CheckAccess(mr, {hdr.rkey, hdr.epoch},
+                                  rdma::AccessKind::kRead, hdr.offset, hdr.aux);
+            if (code == StatusCode::kOk) {
+              data.assign(mr->data() + hdr.offset,
+                          mr->data() + hdr.offset + hdr.aux);
+            }
+            return code;
+          });
+      Respond(conn, bound_token, FrameType::kReadResp, hdr.token, status,
+              data.size(), data);
       return;
     }
     case FrameType::kSend: {
@@ -651,13 +631,9 @@ void SocketFabric::OnFrame(const WorkerPool::ConnRef& conn,
       // and one wire round trip (DESIGN.md §15).
       std::vector<uint8_t> data;
       uint64_t hops_done = 0;
-      const uint8_t status = ExecuteChain(hdr, payload, &data, &hops_done);
-      FrameHeader resp;
-      resp.type = static_cast<uint8_t>(FrameType::kChainResp);
-      resp.status = status;
-      resp.token = hdr.token;
-      resp.aux = hops_done;
-      pool_.Send(conn, EncodeFrame(resp, data.data(), data.size()));
+      const StatusCode status = ExecuteChain(hdr, payload, &data, &hops_done);
+      Respond(conn, bound_token, FrameType::kChainResp, hdr.token, status,
+              hops_done, data);
       return;
     }
     case FrameType::kWriteAck:
@@ -680,118 +656,82 @@ void SocketFabric::OnConnClosed(uint64_t bound_token) {
   driver_->Post([this, bound_token] { QpTransportClosed(bound_token); });
 }
 
-uint8_t SocketFabric::ApplyWrite(const FrameHeader& hdr,
-                                 const std::vector<uint8_t>& payload) {
+template <typename Fn>
+StatusCode SocketFabric::WithSharedMr(uint32_t rkey, Fn&& fn) {
   SharedMr smr;
-  if (!LookupSharedMr(hdr.rkey, &smr)) {
-    return Code(StatusCode::kProtectionError);
-  }
+  if (!LookupSharedMr(rkey, &smr)) return fn(nullptr);
   std::lock_guard<std::mutex> lk(*smr.apply_mu);
-  rdma::MemoryRegion* mr = smr.mr;
-  if (!mr->valid()) return Code(StatusCode::kProtectionError);
-  if (hdr.epoch != mr->epoch()) {
-    // Stale access epoch: the fence. Count it on the loop (telemetry
-    // counters hang off loop-built NIC state).
-    driver_->Post([nic = mr->nic()] { nic->CountProtectionError(); });
-    return Code(StatusCode::kProtectionError);
-  }
-  if (!mr->InBounds(hdr.offset, payload.size())) {
-    return Code(StatusCode::kAborted);
-  }
-  uint8_t* dst = mr->data() + hdr.offset;
-  if (hdr.offset % 8 == 0 && payload.size() >= 8 &&
-      reinterpret_cast<uintptr_t>(dst) % 8 == 0) {
-    // Publish protocol: body first, then the first 8 bytes (the
-    // BatchHeader sequence word) with release ordering, so a poller's
-    // acquire load of the seq observes a fully-deposited slot — the
-    // socket analogue of "the RDMA write's last cache line carries the
-    // header" the simulated fabric provides for free.
-    std::memcpy(dst + 8, payload.data() + 8, payload.size() - 8);
-    uint64_t first;
-    std::memcpy(&first, payload.data(), sizeof(first));
-    std::atomic_ref<uint64_t>(*reinterpret_cast<uint64_t*>(dst))
-        .store(first, std::memory_order_release);
-  } else if (!payload.empty()) {
-    // Same publish shape at byte granularity (atomic_thread_fence is
-    // unsupported under TSan): body after the first byte, then the
-    // first byte with a release store.
-    std::memcpy(dst + 1, payload.data() + 1, payload.size() - 1);
-    std::atomic_ref<uint8_t>(*dst).store(payload[0],
-                                         std::memory_order_release);
-  }
-  driver_->Post([this, rkey = hdr.rkey] { NotifyRemoteWriteOnLoop(rkey); });
-  return Code(StatusCode::kOk);
+  return fn(smr.mr);
 }
 
-uint8_t SocketFabric::SnapshotRead(const FrameHeader& hdr,
-                                   std::vector<uint8_t>* out) {
-  SharedMr smr;
-  if (!LookupSharedMr(hdr.rkey, &smr)) {
-    return Code(StatusCode::kProtectionError);
+StatusCode SocketFabric::ExecuteChain(const FrameHeader& hdr,
+                                      const std::vector<uint8_t>& payload,
+                                      std::vector<uint8_t>* out,
+                                      uint64_t* hops_done) {
+  // The peer may be another process: decode the descriptors onto the
+  // stack and hold them to the rules a local PostChain enforces.
+  rdma::ChainHop hops[rdma::kMaxChainHops];
+  const uint64_t decoded = std::min<uint64_t>(hdr.aux, rdma::kMaxChainHops);
+  const uint64_t desc_bytes = decoded * sizeof(ChainHopWire);
+  if (payload.size() < desc_bytes) return StatusCode::kInvalidArgument;
+  uint64_t write_bytes = 0;
+  for (uint64_t i = 0; i < decoded; i++) {
+    ChainHopWire w;
+    std::memcpy(&w, payload.data() + i * sizeof(w), sizeof(w));
+    rdma::ChainHop& h = hops[i];
+    h.key = {w.rkey, w.epoch};
+    h.remote_offset = w.remote_offset;
+    h.local_offset = w.local_offset;
+    h.len = w.len;
+    h.addr_mask = w.addr_mask;
+    h.addr_shift = w.addr_shift;
+    h.addr_from_prev = (w.flags & ChainHopWire::kAddrFromPrev) != 0;
+    h.is_write = (w.flags & ChainHopWire::kIsWrite) != 0;
+    if (h.is_write) {
+      if (h.len > payload.size() - write_bytes) {
+        return StatusCode::kInvalidArgument;
+      }
+      write_bytes += h.len;
+    }
   }
-  std::lock_guard<std::mutex> lk(*smr.apply_mu);
-  rdma::MemoryRegion* mr = smr.mr;
-  // READs are deliberately not epoch-checked (revoked regions stay
-  // readable until deregistration) — same contract as Nic::Resolve with
-  // check_epoch=false.
-  if (!mr->valid()) return Code(StatusCode::kProtectionError);
-  if (!mr->InBounds(hdr.offset, hdr.aux)) return Code(StatusCode::kAborted);
-  out->assign(mr->data() + hdr.offset, mr->data() + hdr.offset + hdr.aux);
-  return Code(StatusCode::kOk);
+  if (!rdma::ValidateChainShape(hops, hdr.aux).ok() ||
+      payload.size() != desc_bytes + write_bytes) {
+    return StatusCode::kInvalidArgument;
+  }
+  rdma::ChainCursor cursor(hops, static_cast<uint32_t>(decoded),
+                           payload.data() + desc_bytes);
+  StatusCode status = StatusCode::kOk;
+  while (status == StatusCode::kOk && !cursor.done()) {
+    const rdma::ChainHop& h = cursor.next();
+    status = WithSharedMr(h.key.rkey, [&](rdma::MemoryRegion* mr) {
+      const StatusCode code = cursor.Step(mr, out);
+      if (code == StatusCode::kOk && h.is_write) {
+        driver_->Post([this, rkey = h.key.rkey] {
+          NotifyRemoteWriteOnLoop(rkey);
+        });
+      }
+      return code;
+    });
+  }
+  *hops_done = cursor.hops_done();
+  if (status != StatusCode::kOk) out->clear();  // an abort ships nothing
+  return status;
 }
 
-uint8_t SocketFabric::ExecuteChain(const FrameHeader& hdr,
-                                   const std::vector<uint8_t>& payload,
-                                   std::vector<uint8_t>* out,
-                                   uint64_t* hops_done) {
-  const uint64_t num_hops = hdr.aux;
-  if (num_hops == 0 || num_hops > rdma::kMaxChainHops ||
-      payload.size() < num_hops * sizeof(ChainHopWire)) {
-    return Code(StatusCode::kInvalidArgument);
+void SocketFabric::Respond(const WorkerPool::ConnRef& conn, uint64_t qp_token,
+                           FrameType type, uint64_t op_token,
+                           StatusCode status, uint64_t aux,
+                           const std::vector<uint8_t>& data) {
+  if (status == StatusCode::kProtectionError) {
+    // Telemetry counters hang off loop-built NIC state.
+    driver_->Post([this, qp_token] { CountProtectionErrorOnLoop(qp_token); });
   }
-  const auto* hops = reinterpret_cast<const ChainHopWire*>(payload.data());
-  const uint8_t* wpay = payload.data() + num_hops * sizeof(ChainHopWire);
-  const uint8_t* wpay_end = payload.data() + payload.size();
-  uint64_t prev_word = 0;
-  for (uint64_t i = 0; i < num_hops; i++) {
-    const ChainHopWire& h = hops[i];
-    SharedMr smr;
-    if (!LookupSharedMr(h.rkey, &smr)) {
-      return Code(StatusCode::kProtectionError);
-    }
-    std::lock_guard<std::mutex> lk(*smr.apply_mu);
-    rdma::MemoryRegion* mr = smr.mr;
-    if (!mr->valid()) return Code(StatusCode::kProtectionError);
-    if (h.epoch != mr->epoch()) {
-      // Chains fence EVERY hop, reads included — same contract as the
-      // simulated NIC's per-hop Resolve(check_epoch=true): a dependent
-      // chase must not follow a pointer past an epoch bump. Aborting
-      // here means zero bytes move for this and all later hops.
-      driver_->Post([nic = mr->nic()] { nic->CountProtectionError(); });
-      return Code(StatusCode::kProtectionError);
-    }
-    uint64_t ro = h.remote_offset;
-    if (h.flags & ChainHopWire::kAddrFromPrev) {
-      ro += (prev_word & h.addr_mask) >> h.addr_shift;
-    }
-    if (!mr->InBounds(ro, h.len)) return Code(StatusCode::kAborted);
-    if (h.flags & ChainHopWire::kIsWrite) {
-      if (wpay + h.len > wpay_end) return Code(StatusCode::kInvalidArgument);
-      // Plain deposit under the apply mutex: chain write hops target
-      // data regions, not the polled response rings, so the seq-word
-      // publish protocol of ApplyWrite is not needed here.
-      std::memcpy(mr->data() + ro, wpay, h.len);
-      wpay += h.len;
-      driver_->Post([this, rkey = h.rkey] { NotifyRemoteWriteOnLoop(rkey); });
-    } else {
-      out->insert(out->end(), mr->data() + ro, mr->data() + ro + h.len);
-      uint64_t w = 0;
-      std::memcpy(&w, mr->data() + ro, h.len < 8 ? h.len : 8);
-      prev_word = w;
-    }
-    (*hops_done)++;
-  }
-  return Code(StatusCode::kOk);
+  FrameHeader resp;
+  resp.type = static_cast<uint8_t>(type);
+  resp.status = static_cast<uint8_t>(status);
+  resp.token = op_token;
+  resp.aux = aux;
+  pool_.Send(conn, EncodeFrame(resp, data.data(), data.size()));
 }
 
 WorkerPool::ConnRef SocketFabric::TakeAcceptedConn(uint64_t qp_token) {
@@ -833,14 +773,10 @@ void SocketFabric::HandleIncomingSend(uint64_t qp_token,
                                       std::vector<uint8_t> payload) {
   StatusCode status = StatusCode::kUnavailable;
   auto it = qp_registry_.find(qp_token);
-  if (it != qp_registry_.end()) {
-    status = it->second->AcceptIncomingSend(payload);
+  if (it != qp_registry_.end() && !it->second->broken()) {
+    status = it->second->AcceptSend(payload.data(), payload.size());
   }
-  FrameHeader ack;
-  ack.type = static_cast<uint8_t>(FrameType::kSendAck);
-  ack.status = Code(status);
-  ack.token = op_token;
-  pool_.Send(conn, EncodeFrame(ack, nullptr, 0));
+  Respond(conn, qp_token, FrameType::kSendAck, op_token, status, 0, {});
 }
 
 void SocketFabric::NotifyRemoteWriteOnLoop(uint32_t rkey) {
@@ -853,6 +789,11 @@ void SocketFabric::NotifyRemoteWriteOnLoop(uint32_t rkey) {
   }
   // Loop thread; notifier installation/teardown is loop-side too.
   mr->NotifyRemoteWrite();
+}
+
+void SocketFabric::CountProtectionErrorOnLoop(uint64_t qp_token) {
+  auto it = qp_registry_.find(qp_token);
+  if (it != qp_registry_.end()) it->second->nic()->CountProtectionError();
 }
 
 void SocketFabric::QpTransportClosed(uint64_t qp_token) {

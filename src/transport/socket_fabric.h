@@ -72,22 +72,16 @@ class SocketQueuePair : public rdma::QueuePair {
   friend class SocketFabric;
   friend class SocketNic;
 
-  /// Where one read hop of a chain lands locally.
-  struct Landing {
-    uint64_t local_offset = 0;
-    uint64_t len = 0;
-  };
-
   struct PendingOp {
     uint64_t wr_id = 0;
     rdma::Opcode opcode = rdma::Opcode::kWrite;
     rdma::MemoryRegion* mr = nullptr;  // READ/chain landing buffer
     uint64_t local_offset = 0;
     uint32_t len = 0;
-    /// kChain only: the read hops' landings in hop order, so the single
-    /// response's concatenated payloads scatter back.
-    uint32_t num_landings = 0;
-    std::array<Landing, rdma::kMaxChainHops> landings;
+    /// kChain only: the posted hops, so the single response's
+    /// concatenated read payloads scatter back.
+    uint32_t num_hops = 0;
+    std::array<rdma::ChainHop, rdma::kMaxChainHops> hops;
     /// Set when the op's ack arrived ahead of an earlier op's; the
     /// ack's fields wait here until the op reaches the ring's head.
     bool acked = false;
@@ -108,8 +102,6 @@ class SocketQueuePair : public rdma::QueuePair {
                   std::vector<uint8_t> payload);
   /// Loop-side: lands an acked op's payload and pushes its completion.
   void Retire(PendingOp& op);
-  /// Loop-side: an incoming kSend; returns the status to ack.
-  StatusCode AcceptIncomingSend(const std::vector<uint8_t>& payload);
   /// Loop-side: the listener side learned its stream (kConnect seen).
   void OnAccepted(const WorkerPool::ConnRef& conn);
   /// Loop-side: the stream died under us.
@@ -230,17 +222,21 @@ class SocketFabric : public rdma::Fabric {
   void OnFrame(const WorkerPool::ConnRef& conn, uint64_t bound_token,
                const FrameHeader& hdr, std::vector<uint8_t> payload);
   void OnConnClosed(uint64_t bound_token);
-  /// Worker-side one-sided responder: fence check + deposit.
-  uint8_t ApplyWrite(const FrameHeader& hdr,
-                     const std::vector<uint8_t>& payload);
-  /// Worker-side one-sided responder: validity/bounds check + snapshot.
-  uint8_t SnapshotRead(const FrameHeader& hdr, std::vector<uint8_t>* out);
-  /// Worker-side chain responder: executes every hop in order with the
-  /// per-hop fence, appending read payloads to `out`; `hops_done`
-  /// reports how many hops ran before success/abort.
-  uint8_t ExecuteChain(const FrameHeader& hdr,
-                       const std::vector<uint8_t>& payload,
-                       std::vector<uint8_t>* out, uint64_t* hops_done);
+  /// Runs `fn` on the region `rkey` names, under its apply mutex, or
+  /// on nullptr when no region is registered under it.
+  template <typename Fn>
+  StatusCode WithSharedMr(uint32_t rkey, Fn&& fn);
+  /// Worker-side chain responder: decodes and checks the descriptors,
+  /// then steps every hop under its region's apply mutex, appending read
+  /// payloads to `out`; `hops_done` reports how many hops ran.
+  StatusCode ExecuteChain(const FrameHeader& hdr,
+                          const std::vector<uint8_t>& payload,
+                          std::vector<uint8_t>* out, uint64_t* hops_done);
+  /// Answers a request that arrived on the stream of QP `qp_token`, and
+  /// counts a protection error on that QP's NIC (the responder NIC).
+  void Respond(const WorkerPool::ConnRef& conn, uint64_t qp_token,
+               FrameType type, uint64_t op_token, StatusCode status,
+               uint64_t aux, const std::vector<uint8_t>& data);
 
   // Loop-side continuations.
   void BindAcceptedConn(uint64_t qp_token, const WorkerPool::ConnRef& conn);
@@ -249,6 +245,7 @@ class SocketFabric : public rdma::Fabric {
   void HandleIncomingSend(uint64_t qp_token, const WorkerPool::ConnRef& conn,
                           uint64_t op_token, std::vector<uint8_t> payload);
   void NotifyRemoteWriteOnLoop(uint32_t rkey);
+  void CountProtectionErrorOnLoop(uint64_t qp_token);
   void QpTransportClosed(uint64_t qp_token);
 
   WallClockDriver* driver_;

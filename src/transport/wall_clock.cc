@@ -56,7 +56,7 @@ void WallClockDriver::RingDoorbell() {
   [[maybe_unused]] ssize_t n = write(evfd_, &one, sizeof(one));
 }
 
-void WallClockDriver::Post(sim::InlineFunction fn) {
+void WallClockDriver::Post(sim::Simulation::Callback fn) {
   {
     std::lock_guard<std::mutex> lk(mu_);
     mailbox_.push_back(std::move(fn));
@@ -66,7 +66,7 @@ void WallClockDriver::Post(sim::InlineFunction fn) {
 
 void WallClockDriver::Loop() {
   const uint64_t t0 = MonotonicNs();
-  std::vector<sim::InlineFunction> batch;
+  std::vector<sim::Simulation::Callback> batch;
   while (true) {
     // 1. Drain the mailbox: completions, doorbells, and Call() bodies
     //    posted by worker / control threads run here, on the one thread

@@ -11,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "sim/inline_function.h"
 #include "sim/simulation.h"
 
 namespace redy::transport {
@@ -57,7 +56,7 @@ class WallClockDriver {
 
   /// Enqueues `fn` to run on the loop thread (thread-safe, any thread).
   /// Wakes the loop if it is parked.
-  void Post(sim::InlineFunction fn);
+  void Post(sim::Simulation::Callback fn);
 
   /// Runs `fn` on the loop thread and blocks until it returns; returns
   /// its value. Called from the loop thread itself, runs inline. This
@@ -132,7 +131,7 @@ class WallClockDriver {
   std::thread thread_;
   std::thread::id loop_id_;
   std::mutex mu_;
-  std::vector<sim::InlineFunction> mailbox_;
+  std::vector<sim::Simulation::Callback> mailbox_;
   std::atomic<bool> stop_{false};
   std::atomic<uint64_t> idle_blocks_{0};
   std::atomic<uint64_t> wakeups_{0};

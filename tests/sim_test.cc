@@ -9,7 +9,8 @@
 #include <utility>
 #include <vector>
 
-#include "sim/inline_function.h"
+#include "common/inline_callable.h"
+#include "common/status.h"
 #include "sim/poller.h"
 #include "sim/sharded.h"
 #include "sim/simulation.h"
@@ -238,53 +239,71 @@ TEST(SimulationTest, RandomizedScheduleCancelMatchesReferenceModel) {
   EXPECT_EQ(fired, expected);
 }
 
-TEST(InlineFunctionTest, InvokesInlineCallable) {
+TEST(InlineCallableTest, InvokesInlineCallable) {
   int hits = 0;
   auto small = [&hits] { hits++; };
-  static_assert(sim::InlineFunction::fits_inline<decltype(small)>());
-  sim::InlineFunction f(small);
+  static_assert(common::InlineCallable<void()>::fits_inline<decltype(small)>());
+  common::InlineCallable<void()> f(small);
   EXPECT_TRUE(static_cast<bool>(f));
   f();
   EXPECT_EQ(hits, 1);
 }
 
-TEST(InlineFunctionTest, LargeCaptureFallsBackToHeap) {
+TEST(InlineCallableTest, LargeCaptureFallsBackToHeap) {
   std::array<uint64_t, 32> payload{};
   payload[0] = 7;
   payload[31] = 9;
   auto big = [payload] { EXPECT_EQ(payload[0] + payload[31], 16u); };
-  static_assert(!sim::InlineFunction::fits_inline<decltype(big)>());
-  sim::InlineFunction f(std::move(big));
+  static_assert(!common::InlineCallable<void()>::fits_inline<decltype(big)>());
+  common::InlineCallable<void()> f(std::move(big));
   f();
 }
 
-TEST(InlineFunctionTest, MoveTransfersStateAndDestroysOnce) {
+TEST(InlineCallableTest, MoveTransfersStateAndDestroysOnce) {
   struct Probe {
     std::shared_ptr<int> alive = std::make_shared<int>(0);
   };
   Probe probe;
   std::weak_ptr<int> watch = probe.alive;
   {
-    sim::InlineFunction a([probe = std::move(probe)] {});
-    sim::InlineFunction b(std::move(a));
+    common::InlineCallable<void()> a([probe = std::move(probe)] {});
+    common::InlineCallable<void()> b(std::move(a));
     EXPECT_FALSE(static_cast<bool>(a));
     EXPECT_TRUE(static_cast<bool>(b));
     EXPECT_FALSE(watch.expired());
-    sim::InlineFunction c = std::move(b);
+    common::InlineCallable<void()> c = std::move(b);
     EXPECT_TRUE(static_cast<bool>(c));
     EXPECT_FALSE(watch.expired());
   }
   EXPECT_TRUE(watch.expired());
 }
 
-TEST(InlineFunctionTest, ResetReleasesCapture) {
+TEST(InlineCallableTest, ResetReleasesCapture) {
   auto token = std::make_shared<int>(1);
   std::weak_ptr<int> watch = token;
-  sim::InlineFunction f([token = std::move(token)] {});
+  common::InlineCallable<void()> f([token = std::move(token)] {});
   EXPECT_FALSE(watch.expired());
   f.Reset();
   EXPECT_TRUE(watch.expired());
   EXPECT_FALSE(static_cast<bool>(f));
+}
+
+// The client and FASTER completion callbacks take the op's status.
+TEST(InlineCallableTest, ForwardsArgumentsAndReturnsResult) {
+  std::vector<StatusCode> seen;
+  common::InlineCallable<void(Status)> on_done(
+      [&seen](Status s) { seen.push_back(s.code()); });
+  on_done(Status::OK());
+  on_done(Status::Unavailable("flushed"));
+  EXPECT_EQ(seen, (std::vector<StatusCode>{StatusCode::kOk,
+                                           StatusCode::kUnavailable}));
+
+  const uint64_t bias = 2;
+  common::InlineCallable<uint64_t(uint64_t, uint64_t)> add(
+      [bias](uint64_t a, uint64_t b) { return a + b + bias; });
+  common::InlineCallable<uint64_t(uint64_t, uint64_t)> moved(std::move(add));
+  EXPECT_FALSE(static_cast<bool>(add));
+  EXPECT_EQ(moved(30, 10), 42u);
 }
 
 TEST(PollerTest, PollsAtInterval) {

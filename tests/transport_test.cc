@@ -6,16 +6,23 @@
 // epoch fencing, error flushes) is pinned to be backend-independent.
 // Everything here is bounded to a few wall-clock seconds: this file is
 // the tier-1 loopback smoke test.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "common/random.h"
 #include "common/units.h"
 #include "net/topology.h"
 #include "rdma/nic.h"
@@ -99,6 +106,8 @@ class BackendHarness {
  public:
   virtual ~BackendHarness() = default;
   virtual rdma::Fabric& fabric() = 0;
+  /// The backend's event world (driven by the loop on the socket side).
+  virtual sim::Simulation& sim() = 0;
   virtual void Run(const std::function<void()>& fn) = 0;
   virtual bool Await(const std::function<bool()>& pred) = 0;
 };
@@ -107,6 +116,7 @@ class SimHarness : public BackendHarness {
  public:
   SimHarness() : fabric_(&sim_, net::Topology(2, 2, 4)) {}
   rdma::Fabric& fabric() override { return fabric_; }
+  sim::Simulation& sim() override { return sim_; }
   void Run(const std::function<void()>& fn) override { fn(); }
   bool Await(const std::function<bool()>& pred) override {
     sim_.Run();
@@ -146,7 +156,7 @@ class SocketHarness : public BackendHarness {
     }
   }
   WallClockDriver& driver() { return driver_; }
-  sim::Simulation& sim() { return sim_; }
+  sim::Simulation& sim() override { return sim_; }
 
  private:
   sim::Simulation sim_;
@@ -173,6 +183,25 @@ class BackendRdmaTest : public ::testing::TestWithParam<Backend> {
     });
     EXPECT_TRUE(connect_ok_);
   }
+  ~BackendRdmaTest() override {
+    if (tel_) harness_->Run([&] { harness_->fabric().set_telemetry(nullptr); });
+  }
+
+  void InstallTelemetry() {
+    tel_ = std::make_unique<telemetry::Telemetry>(&harness_->sim());
+    harness_->Run([&] { harness_->fabric().set_telemetry(tel_.get()); });
+  }
+
+  /// Per-NIC counter `name` of NIC `server` (InstallTelemetry first).
+  uint64_t NicCounter(const char* name, net::ServerId server) {
+    uint64_t v = 0;
+    harness_->Run([&] {
+      v = tel_->metrics()
+              .GetCounter(name, {{"server", std::to_string(server)}})
+              ->Value();
+    });
+    return v;
+  }
 
   /// Pumps the backend until `n` completions surfaced on cqp_'s send CQ.
   std::vector<WorkCompletion> DrainN(size_t n) {
@@ -186,6 +215,7 @@ class BackendRdmaTest : public ::testing::TestWithParam<Backend> {
   }
 
   std::unique_ptr<BackendHarness> harness_;
+  std::unique_ptr<telemetry::Telemetry> tel_;
   Nic* client_nic_ = nullptr;
   Nic* server_nic_ = nullptr;
   QueuePair* cqp_ = nullptr;
@@ -317,6 +347,36 @@ TEST_P(BackendRdmaTest, ReadsSurviveEpochRevocation) {
   ASSERT_EQ(wcs.size(), 1u);
   EXPECT_EQ(wcs[0].status, StatusCode::kOk);
   EXPECT_EQ(std::memcmp(local_->data(), msg, sizeof(msg)), 0);
+}
+
+// The responder NIC counts every access it fences: to a dropped region,
+// read or write, as well as under a stale epoch.
+TEST_P(BackendRdmaTest, ProtectionErrorsCountEveryFencedAccess) {
+  InstallTelemetry();
+  rdma::RemoteKey dropped;
+  rdma::RemoteKey stale;
+  harness_->Run([&] {
+    MemoryRegion* mr = server_nic_->RegisterMemory(4 * kKiB);
+    dropped = mr->remote_key();
+    server_nic_->DeregisterMemory(mr);
+    stale = remote_->remote_key();
+    remote_->RevokeEpoch();
+  });
+  const std::function<Status()> posts[] = {
+      [&] { return cqp_->PostWrite(1, local_, 0, dropped, 0, 64); },
+      [&] { return cqp_->PostRead(2, local_, 0, dropped, 0, 64); },
+      [&] { return cqp_->PostWrite(3, local_, 0, stale, 0, 64); },
+  };
+  for (uint64_t i = 0; i < 3; i++) {
+    bool posted = false;
+    harness_->Run([&] { posted = posts[i]().ok(); });
+    ASSERT_TRUE(posted);
+    auto wcs = DrainN(1);
+    ASSERT_EQ(wcs.size(), 1u);
+    EXPECT_EQ(wcs[0].status, StatusCode::kProtectionError);
+    EXPECT_EQ(NicCounter("rdma.protection_errors", 1), i + 1);
+  }
+  EXPECT_EQ(NicCounter("rdma.protection_errors", 0), 0u);
 }
 
 TEST_P(BackendRdmaTest, RemoteOutOfBoundsAborts) {
@@ -527,7 +587,7 @@ TEST_P(BackendRdmaTest, ChainDeliversExactlyOneCompletionAndOneNotify) {
   harness_->Run([&] {
     std::atomic<uint64_t>* n = notifies.get();
     auto notify = [n] { n->fetch_add(1, std::memory_order_relaxed); };
-    static_assert(sim::InlineFunction::fits_inline<decltype(notify)>());
+    static_assert(sim::Simulation::Callback::fits_inline<decltype(notify)>());
     cqp_->send_cq().SetNotifier(notify);
   });
 
@@ -595,7 +655,54 @@ TEST_P(BackendRdmaTest, ChainRejectsMalformedDescriptors) {
     oob[0].local_offset = 64 * kKiB;
     oob[0].len = 8;
     EXPECT_FALSE(cqp_->PostChain(5, local_, oob, 1).ok());
+    // A shift of 64 or more has no defined result.
+    rdma::ChainHop wide[2] = {hops[0], hops[1]};
+    wide[1].addr_shift = 64;
+    EXPECT_EQ(cqp_->PostChain(6, local_, wide, 2).code(),
+              StatusCode::kInvalidArgument);
   });
+}
+
+// A chain in flight when the responder's NIC fails completes once, as
+// kUnavailable with byte_len 0: a failed chain lands nothing.
+TEST_P(BackendRdmaTest, NicFailureMidChainReportsZeroBytes) {
+  InstallTelemetry();
+  const uint64_t word = 256;
+  std::memcpy(remote_->data(), &word, sizeof(word));
+  rdma::ChainHop hops[2];
+  hops[0].key = remote_->remote_key();
+  hops[0].len = 8;
+  hops[1].key = remote_->remote_key();
+  hops[1].local_offset = 64;
+  hops[1].len = 32;
+  hops[1].addr_from_prev = true;
+  const bool sim = GetParam() == Backend::kSim;
+  bool posted = false;
+  harness_->Run([&] {
+    posted = cqp_->PostChain(21, local_, hops, 2).ok();
+    // The response cannot reach the loop before this task ends.
+    if (!sim) server_nic_->Fail();
+  });
+  ASSERT_TRUE(posted);
+  if (sim) {
+    // Fail once the responder ran every hop: the response is on the wire.
+    while (NicCounter("rdma.chain_hops", 0) < 2) {
+      ASSERT_TRUE(harness_->sim().Step());
+    }
+    server_nic_->Fail();
+  }
+  auto wcs = DrainN(1);
+  ASSERT_EQ(wcs.size(), 1u);
+  EXPECT_EQ(wcs[0].wr_id, 21u);
+  EXPECT_EQ(wcs[0].status, StatusCode::kUnavailable);
+  EXPECT_EQ(wcs[0].byte_len, 0u);
+  int more = -1;
+  harness_->Await([] { return true; });
+  harness_->Run([&] {
+    WorkCompletion wc;
+    more = cqp_->send_cq().Poll(&wc, 1);
+  });
+  EXPECT_EQ(more, 0);
 }
 
 std::string BackendName(const ::testing::TestParamInfo<Backend>& info) {
@@ -860,6 +967,333 @@ TEST_F(SocketStreamTest, BreakAndFailRacePostsFromTheLoop) {
     EXPECT_EQ(accepted + rejected, 28);
   }
 }
+
+// The responder holds a kChain frame from any peer, possibly another
+// process, to the shape rules a local PostChain enforces: a malformed
+// chain is refused whole, before any hop touches memory.
+TEST_F(SocketStreamTest, MalformedChainFramesAreRefusedWhole) {
+  constexpr uint64_t kLen = 4 * kKiB;
+  MemoryRegion* remote = nullptr;
+  uint64_t qp_token = 0;
+  std::vector<uint8_t> before;
+  h_.Run([&] {
+    Nic* server = h_.fabric().NicAt(1);
+    remote = server->RegisterMemory(kLen);
+    for (uint64_t i = 0; i < kLen; i++) remote->data()[i] = (i * 13) & 0xff;
+    const uint64_t word = 512;
+    std::memcpy(remote->data(), &word, sizeof(word));
+    before.assign(remote->data(), remote->data() + kLen);
+    // An unconnected QP for the raw stream to bind to.
+    qp_token = static_cast<transport::SocketQueuePair*>(
+                   server->CreateQueuePair(16))
+                   ->token();
+  });
+
+  const int fd = socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  struct sockaddr_in addr = {};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<SocketFabric&>(h_.fabric()).port());
+  ASSERT_EQ(inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
+                    sizeof(addr)),
+            0);
+  struct timeval timeout = {5, 0};
+  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  auto send_all = [fd](const std::vector<uint8_t>& buf) {
+    return ::send(fd, buf.data(), buf.size(), MSG_NOSIGNAL) ==
+           static_cast<ssize_t>(buf.size());
+  };
+  transport::FrameHeader connect_hdr;
+  connect_hdr.type = static_cast<uint8_t>(transport::FrameType::kConnect);
+  connect_hdr.aux = qp_token;
+  ASSERT_TRUE(send_all(transport::EncodeFrame(connect_hdr, nullptr, 0)));
+
+  // Each chain ends in a 16 B write hop that must never run.
+  auto hop = [&](uint64_t remote_offset, uint64_t len, uint8_t flags) {
+    transport::ChainHopWire w;
+    w.rkey = remote->remote_key().rkey;
+    w.epoch = remote->remote_key().epoch;
+    w.remote_offset = remote_offset;
+    w.len = len;
+    w.addr_mask = ~uint64_t{0};
+    w.flags = flags;
+    return w;
+  };
+  using Wire = transport::ChainHopWire;
+  transport::ChainHopWire shift64 = hop(0, 16, Wire::kAddrFromPrev);
+  shift64.addr_shift = 64;
+  const std::vector<std::vector<transport::ChainHopWire>> chains = {
+      {hop(0, 8, 0), shift64, hop(1024, 16, Wire::kIsWrite)},
+      {hop(0, 8, Wire::kAddrFromPrev), hop(1024, 16, Wire::kIsWrite)},
+  };
+  for (size_t c = 0; c < chains.size(); c++) {
+    const auto& hops = chains[c];
+    std::vector<uint8_t> payload(hops.size() * sizeof(Wire) + 16, 0xEE);
+    std::memcpy(payload.data(), hops.data(), hops.size() * sizeof(Wire));
+    transport::FrameHeader h;
+    h.type = static_cast<uint8_t>(transport::FrameType::kChain);
+    h.token = 100 + c;
+    h.aux = hops.size();
+    ASSERT_TRUE(
+        send_all(transport::EncodeFrame(h, payload.data(), payload.size())));
+    transport::FrameHeader resp;
+    ASSERT_EQ(recv(fd, &resp, sizeof(resp), MSG_WAITALL),
+              static_cast<ssize_t>(sizeof(resp)))
+        << "no answer to chain " << c;
+    EXPECT_EQ(resp.type,
+              static_cast<uint8_t>(transport::FrameType::kChainResp));
+    EXPECT_EQ(resp.token, 100 + c);
+    EXPECT_EQ(resp.status, static_cast<uint8_t>(StatusCode::kInvalidArgument))
+        << "chain " << c;
+    EXPECT_EQ(resp.aux, 0u) << "chain " << c << " ran hops";
+    std::vector<uint8_t> data(resp.payload_len);
+    if (!data.empty()) {
+      ASSERT_EQ(recv(fd, data.data(), data.size(), MSG_WAITALL),
+                static_cast<ssize_t>(data.size()));
+    }
+  }
+  close(fd);
+  bool untouched = false;
+  h_.Run([&] {
+    untouched = std::memcmp(remote->data(), before.data(), kLen) == 0;
+  });
+  EXPECT_TRUE(untouched) << "a refused chain changed remote bytes";
+}
+
+// ---------------------------------------------------------------------------
+// Differential test: one seeded op script runs on both backends. Ops in
+// one step touch disjoint remote ranges, so the outcome depends on the
+// responder rules alone, never on timing: every step must give the same
+// statuses and byte counts, and the regions and the responder counters
+// must end up the same.
+
+struct ScriptOutcome {
+  std::vector<std::string> events;
+  std::vector<uint8_t> local;
+  std::vector<uint8_t> remote;
+  std::vector<uint8_t> dropped;  // as it was when deregistered
+  std::vector<uint64_t> counters;
+};
+
+ScriptOutcome RunOpScript(BackendHarness& h, uint64_t seed) {
+  constexpr uint64_t kLane = 4 * kKiB;
+  constexpr int kRemoteLanes = 16;   // lanes of `remote`
+  constexpr int kLanes = 20;         // then 4 lanes of `dropped`
+  constexpr int kSteps = 240;
+  constexpr int kRevokeStep = kSteps / 3;
+  constexpr int kDeregisterStep = kSteps / 2;
+  constexpr int kFailStep = kSteps * 9 / 10;
+
+  ScriptOutcome out;
+  telemetry::Telemetry tel(&h.sim());
+  Nic* client = nullptr;
+  Nic* server = nullptr;
+  QueuePair* cqp = nullptr;
+  QueuePair* sqp = nullptr;
+  MemoryRegion* local = nullptr;
+  MemoryRegion* remote = nullptr;
+  MemoryRegion* dropped = nullptr;
+  rdma::RemoteKey first_key;  // stale once `remote` is revoked
+  Rng fill(seed * 31 + 7);
+  h.Run([&] {
+    h.fabric().set_telemetry(&tel);
+    client = h.fabric().NicAt(0);
+    server = h.fabric().NicAt(1);
+    cqp = client->CreateQueuePair(16);
+    sqp = server->CreateQueuePair(16);
+    EXPECT_TRUE(cqp->Connect(sqp).ok());
+    local = client->RegisterMemory(kLanes * kLane);
+    remote = server->RegisterMemory(kRemoteLanes * kLane);
+    dropped = server->RegisterMemory((kLanes - kRemoteLanes) * kLane);
+    first_key = remote->remote_key();
+    for (MemoryRegion* mr : {local, remote, dropped}) {
+      for (uint64_t i = 0; i < mr->size(); i++) {
+        mr->data()[i] = static_cast<uint8_t>(fill.Next());
+      }
+    }
+    // Each remote lane starts with a tagged pointer into itself.
+    for (MemoryRegion* mr : {remote, dropped}) {
+      for (uint64_t base = 0; base < mr->size(); base += kLane) {
+        const uint64_t word = (fill.Uniform(2048) << 4) | fill.Uniform(16);
+        std::memcpy(mr->data() + base, &word, sizeof(word));
+      }
+    }
+  });
+
+  Rng rng(seed);
+  for (int step = 0; step < kSteps; step++) {
+    if (step == kRevokeStep) {
+      h.Run([&] { remote->RevokeEpoch(); });
+      continue;
+    }
+    if (step == kDeregisterStep) {
+      h.Run([&] {
+        out.dropped.assign(dropped->data(), dropped->data() + dropped->size());
+        server->DeregisterMemory(dropped);
+      });
+      continue;
+    }
+    if (step == kFailStep) {
+      h.Run([&] { server->Fail(); });
+      continue;
+    }
+    // Pick this step's ops from the seed alone, each on its own lane.
+    std::vector<std::function<Status()>> posts;
+    bool sent = false;
+    uint64_t lanes_used = 0;
+    const int num_ops = 1 + static_cast<int>(rng.Uniform(3));
+    for (int k = 0; k < num_ops; k++) {
+      uint64_t lane = rng.Uniform(kLanes);
+      while (lanes_used & (uint64_t{1} << lane)) lane = (lane + 1) % kLanes;
+      lanes_used |= uint64_t{1} << lane;
+      const bool in_remote = lane < kRemoteLanes;
+      const uint64_t base = (in_remote ? lane : lane - kRemoteLanes) * kLane;
+      const uint64_t lbase = lane * kLane;
+      const bool use_first_key = rng.Uniform(4) == 0;
+      auto key = [=, &remote, &dropped, &first_key] {
+        if (!in_remote) return dropped->remote_key();
+        return use_first_key ? first_key : remote->remote_key();
+      };
+      auto target = [=, &remote, &dropped] {
+        return in_remote ? remote->remote_key() : dropped->remote_key();
+      };
+      const uint64_t wr = static_cast<uint64_t>(step) * 8 + k;
+      const uint64_t off = rng.Uniform(kLane - 1);
+      const uint64_t len =
+          1 + rng.Uniform(std::min<uint64_t>(kLane - off, 1024));
+      uint64_t kind = rng.Uniform(20);
+      if (kind >= 7 && kind < 10 && (sent || !in_remote)) kind = 5;
+      if (kind < 5) {
+        posts.push_back([=, &cqp, &local] {
+          return cqp->PostWrite(wr, local, lbase + off, key(), base + off, len);
+        });
+      } else if (kind < 7) {
+        posts.push_back([=, &cqp, &local] {
+          return cqp->PostRead(wr, local, lbase + off, key(), base + off, len);
+        });
+      } else if (kind < 10) {
+        // SEND into a receive posted on the same lane; sometimes too
+        // small, sometimes missing.
+        sent = true;
+        const uint64_t cap = rng.Uniform(8) == 0 ? len / 2 : len;
+        const bool recv = rng.Uniform(8) != 0;
+        posts.push_back([=, &cqp, &sqp, &remote, &local] {
+          if (recv) {
+            const Status r = sqp->PostRecv(wr, remote, base + off, cap);
+            if (!r.ok()) return r;
+          }
+          return cqp->PostSend(wr, local, lbase + off, len);
+        });
+      } else if (kind < 11) {
+        // Remote out of bounds: past the end of the region.
+        const bool write = rng.Uniform(2) == 0;
+        posts.push_back([=, &cqp, &local] {
+          const uint64_t past = kRemoteLanes * kLane + off;
+          return write ? cqp->PostWrite(wr, local, lbase, target(), past, len)
+                       : cqp->PostRead(wr, local, lbase, target(), past, len);
+        });
+      } else {
+        // A pointer chase inside the lane: read the tagged word, follow
+        // it (mask keeps the target in the lane), maybe write a tail.
+        rdma::ChainHop hops[3];
+        const uint32_t n = 2 + static_cast<uint32_t>(rng.Uniform(2));
+        hops[0].remote_offset = base;
+        hops[0].local_offset = lbase;
+        hops[0].len = 8;
+        hops[1].remote_offset = base;
+        hops[1].local_offset = lbase + 64;
+        hops[1].len = 1 + rng.Uniform(512);
+        hops[1].addr_from_prev = true;
+        hops[1].addr_mask = uint64_t{0x7FF0};
+        hops[1].addr_shift = 4;
+        hops[2].remote_offset = base + 2600 + rng.Uniform(1000);
+        hops[2].local_offset = lbase + 3000;
+        hops[2].len = 1 + rng.Uniform(256);
+        hops[2].is_write = true;
+        const uint64_t variant = rng.Uniform(10);
+        if (variant == 0) hops[1].addr_shift = 64;         // refused
+        if (variant == 1) hops[0].addr_from_prev = true;   // refused
+        if (variant == 2) {                                // aborts at hop 1
+          hops[1].addr_from_prev = false;
+          hops[1].remote_offset = kRemoteLanes * kLane - 4;
+        }
+        const uint64_t stale_hop = rng.Uniform(8);  // >= n: none stale
+        posts.push_back([=, &cqp, &local, &first_key]() mutable {
+          for (uint32_t i = 0; i < n; i++) {
+            hops[i].key = (i == stale_hop && in_remote) ? first_key : target();
+          }
+          return cqp->PostChain(wr, local, hops, n);
+        });
+      }
+    }
+
+    size_t accepted = 0;
+    h.Run([&] {
+      for (size_t k = 0; k < posts.size(); k++) {
+        const Status st = posts[k]();
+        out.events.push_back("step " + std::to_string(step) + " op " +
+                             std::to_string(k) + " post " +
+                             std::string(StatusCodeToString(st.code())));
+        if (st.ok()) accepted++;
+      }
+    });
+    std::vector<WorkCompletion> wcs;
+    EXPECT_TRUE(h.Await([&] {
+      WorkCompletion wc;
+      while (cqp->send_cq().Poll(&wc, 1) == 1) wcs.push_back(wc);
+      return wcs.size() >= accepted;
+    })) << "step " << step << " stalled";
+    h.Run([&] {
+      WorkCompletion wc;
+      while (sqp->recv_cq().Poll(&wc, 1) == 1) wcs.push_back(wc);
+    });
+    for (const WorkCompletion& wc : wcs) {
+      out.events.push_back(
+          "step " + std::to_string(step) + " wr " + std::to_string(wc.wr_id) +
+          " opcode " + std::to_string(static_cast<int>(wc.opcode)) + " " +
+          std::string(StatusCodeToString(wc.status)) + " bytes " +
+          std::to_string(wc.byte_len));
+    }
+  }
+
+  h.Run([&] {
+    out.local.assign(local->data(), local->data() + local->size());
+    out.remote.assign(remote->data(), remote->data() + remote->size());
+    for (const char* name :
+         {"rdma.protection_errors", "rdma.chain_hops", "rdma.chain_aborted"}) {
+      for (const char* nic : {"0", "1"}) {
+        out.counters.push_back(
+            tel.metrics().GetCounter(name, {{"server", nic}})->Value());
+      }
+    }
+    h.fabric().set_telemetry(nullptr);
+  });
+  return out;
+}
+
+class BackendDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(BackendDifferentialTest, SameScriptSameOutcomeOnBothBackends) {
+  SimHarness sim;
+  const ScriptOutcome want = RunOpScript(sim, GetParam());
+  SocketHarness socket;
+  const ScriptOutcome got = RunOpScript(socket, GetParam());
+  ASSERT_FALSE(want.events.empty());
+  for (size_t i = 0; i < std::min(want.events.size(), got.events.size());
+       i++) {
+    ASSERT_EQ(got.events[i], want.events[i]) << "first divergence, event " << i;
+  }
+  ASSERT_EQ(got.events.size(), want.events.size());
+  EXPECT_TRUE(got.local == want.local) << "local region bytes differ";
+  EXPECT_TRUE(got.remote == want.remote) << "remote region bytes differ";
+  EXPECT_TRUE(got.dropped == want.dropped) << "dropped region bytes differ";
+  EXPECT_EQ(got.counters, want.counters)
+      << "protection_errors/chain_hops/chain_aborted on NICs 0 and 1";
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BackendDifferentialTest,
+                         ::testing::Values(1, 2, 3));
 
 // ---------------------------------------------------------------------------
 // Full-stack slice: the unmodified CacheClient/CacheServer stack runs
