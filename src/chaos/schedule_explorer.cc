@@ -160,12 +160,10 @@ ScheduleExplorer::Scenario MigrationScenario(bool epoch_fencing) {
     opts.client.region_bytes = 1 * kMiB;
     opts.client.max_regions_per_vm = 1;
     opts.client.migration_chunk_bytes = 128 * kKiB;
-    opts.client.migration_bandwidth_bps = 8e9;
     opts.client.max_retries = 6;
     opts.client.sub_op_timeout_ns = 200 * kMicrosecond;
     opts.client.retry_backoff_ns = 5 * kMicrosecond;
     opts.client.epoch_fencing = epoch_fencing;
-    opts.client.verify_checksums = true;
     opts.client.buggify = &buggify;
     opts.reclaim_notice = 30 * kMillisecond;
 
@@ -303,7 +301,6 @@ ScheduleExplorer::Scenario ChainedReadScenario(bool epoch_fencing) {
     opts.client.region_bytes = 1 * kMiB;
     opts.client.max_regions_per_vm = 1;
     opts.client.migration_chunk_bytes = 128 * kKiB;
-    opts.client.migration_bandwidth_bps = 8e9;
     opts.client.max_retries = 6;
     opts.client.sub_op_timeout_ns = 200 * kMicrosecond;
     opts.client.retry_backoff_ns = 5 * kMicrosecond;

@@ -17,6 +17,16 @@ constexpr uint64_t kWrKindChain = 3ULL << 56;
 constexpr uint64_t kWrKindMask = 0xffULL << 56;
 constexpr uint64_t kWrIdMask = ~kWrKindMask;
 
+/// Slot size of the one-sided staging ring; larger ops stage in a
+/// transient registered buffer.
+constexpr uint64_t kOneSidedSlotBytes = 64 * kKiB;
+/// Consecutive connection resets after which a VM counts as unhealthy:
+/// its reads divert to the replica until a sub-op succeeds.
+constexpr uint32_t kUnhealthyAfter = 2;
+/// kBusy retries back off this much longer than transport-fault
+/// retries (the server asked for air, not for a fast retry).
+constexpr uint64_t kBusyBackoffMultiplier = 4;
+
 }  // namespace
 
 CacheClient::CacheClient(sim::Simulation* sim, rdma::Fabric* fabric,
@@ -576,7 +586,7 @@ uint64_t CacheClient::DrainCompletions(CacheEntry& cache,
         payload = transient->data();
       } else if (op.staging_slot != UINT32_MAX) {
         payload = conn.onesided_ring->data() +
-                  op.staging_slot * options_.one_sided_slot_bytes;
+                  op.staging_slot * kOneSidedSlotBytes;
       }
       if (st.ok() && kind == kWrKindOneSided &&
           op.op == OpCode::kReadPtr && op.chase_hop == 0) {
@@ -717,20 +727,17 @@ uint64_t CacheClient::DrainResponses(CacheEntry& cache, ClientThread& thread,
                       ? Status::OK()
                       : Status(static_cast<StatusCode>(rh.status),
                                "server rejected request");
-      if (options_.verify_checksums) {
-        // Content validation: checksum first (a flipped bit anywhere
-        // reads as corruption), then the epoch echo for fenced writes.
-        const Status entry_st = ValidateResponseEntry(
-            rh, p, op.epoch,
-            options_.epoch_fencing && op.op == OpCode::kWrite);
-        if (!entry_st.ok()) {
-          if (entry_st.IsDataCorruption()) {
-            cache.ctr.checksum_mismatches->Inc();
-          } else {
-            cache.ctr.fence_stale_rejected->Inc();
-          }
-          st = entry_st;
+      // Content validation: checksum first (a flipped bit anywhere
+      // reads as corruption), then the epoch echo for fenced writes.
+      const Status entry_st = ValidateResponseEntry(
+          rh, p, op.epoch, options_.epoch_fencing && op.op == OpCode::kWrite);
+      if (!entry_st.ok()) {
+        if (entry_st.IsDataCorruption()) {
+          cache.ctr.checksum_mismatches->Inc();
+        } else {
+          cache.ctr.fence_stale_rejected->Inc();
         }
+        st = entry_st;
       }
       VRegion& op_vr = cache.regions[op.vregion];
       if (st.ok() && !op.to_replica && options_.lease_ttl_ns > 0) {
@@ -849,13 +856,12 @@ uint64_t CacheClient::DrainSubmissions(CacheEntry& cache,
     // Health-based diversion: a read whose primary VM keeps losing its
     // connection goes to the replica instead of queueing up behind
     // another reset cycle.
-    if (options_.hedge_reads_to_replica && op.op == OpCode::kRead &&
-        !op.to_replica && vr.replica.has_value()) {
+    if (op.op == OpCode::kRead && !op.to_replica && vr.replica.has_value()) {
       const uint32_t* h = thread.vm_health.Find(vr.placement.vm_id);
       // Divert only when the replica actually looks healthier than the
       // primary (else the hedge piles load onto the sicker VM) and the
       // hedge budget grants it.
-      if (h != nullptr && *h >= options_.unhealthy_after &&
+      if (h != nullptr && *h >= kUnhealthyAfter &&
           ReplicaHedgeUseful(cache, thread, vr) && TryWithdrawHedge(cache)) {
         op.to_replica = true;
         cache.ctr.hedged_to_replica->Inc();
@@ -971,10 +977,10 @@ uint64_t CacheClient::IssueOneSided(CacheEntry& cache, ClientThread& thread,
 
   rdma::MemoryRegion* staging = nullptr;
   uint64_t staging_off = 0;
-  if (op->len <= options_.one_sided_slot_bytes) {
+  if (op->len <= kOneSidedSlotBytes) {
     if (conn.onesided_ring == nullptr) {
       conn.onesided_ring = nic_->RegisterMemory(
-          options_.one_sided_slot_bytes * cache.cfg.q);
+          kOneSidedSlotBytes * cache.cfg.q);
       conn.onesided_slot_busy.assign(cache.cfg.q, false);
     }
     uint32_t slot = UINT32_MAX;
@@ -988,7 +994,7 @@ uint64_t CacheClient::IssueOneSided(CacheEntry& cache, ClientThread& thread,
     conn.onesided_slot_busy[slot] = true;
     op->staging_slot = slot;
     staging = conn.onesided_ring;
-    staging_off = slot * options_.one_sided_slot_bytes;
+    staging_off = slot * kOneSidedSlotBytes;
   } else {
     staging = nic_->RegisterMemory(op->len);
     conn.transient_mrs.Insert(wr, staging);
@@ -1076,7 +1082,7 @@ uint64_t CacheClient::Flush(CacheEntry& cache, ClientThread& thread,
   // Lease round trips are message-ring control ops and never convert.
   if (conn.current.size() == 1 && options_.costs.one_sided_singletons &&
       conn.current[0].op != OpCode::kLease &&
-      conn.current[0].len <= options_.one_sided_slot_bytes) {
+      conn.current[0].len <= kOneSidedSlotBytes) {
     bool issued = false;
     consumed = IssueOneSided(cache, thread, conn, &conn.current[0], &issued);
     if (issued) {
@@ -1441,8 +1447,7 @@ bool CacheClient::MaybeRetry(CacheEntry& cache, ClientThread& thread,
   // Hedge retried reads to the replica: the primary just failed, the
   // replica holds the same bytes — unless the replica looks even less
   // healthy, or the hedge budget is spent.
-  if (options_.hedge_reads_to_replica && op.op == OpCode::kRead &&
-      !op.to_replica &&
+  if (op.op == OpCode::kRead && !op.to_replica &&
       cache.regions[op.vregion].replica.has_value() &&
       ReplicaHedgeUseful(cache, thread, cache.regions[op.vregion]) &&
       TryWithdrawHedge(cache)) {
@@ -1460,7 +1465,7 @@ bool CacheClient::MaybeRetry(CacheEntry& cache, ClientThread& thread,
       !BuggifyFires(options_.buggify,
                     static_cast<uint32_t>(
                         chaos::BuggifyPoint::kIgnoreBusyPushback))) {
-    base *= std::max<uint64_t>(1, options_.busy_backoff_multiplier);
+    base *= kBusyBackoffMultiplier;
   }
   for (uint32_t i = 1; i < op.attempts && base < options_.retry_backoff_max_ns;
        i++) {
@@ -1725,113 +1730,96 @@ Result<RdmaConfig> CacheClient::config(CacheId id) const {
   return c->cfg;
 }
 
+const CacheClient::CounterField CacheClient::kCounterFields[] = {
+    {"redy.client.reads_completed", &Stats::reads_completed,
+     &CacheCounters::reads_completed},
+    {"redy.client.writes_completed", &Stats::writes_completed,
+     &CacheCounters::writes_completed},
+    {"redy.client.read_bytes", &Stats::read_bytes, &CacheCounters::read_bytes},
+    {"redy.client.write_bytes", &Stats::write_bytes,
+     &CacheCounters::write_bytes},
+    {"redy.client.errors", &Stats::errors, &CacheCounters::errors},
+    {"redy.client.one_sided_ops", &Stats::one_sided_ops,
+     &CacheCounters::one_sided_ops},
+    {"redy.client.batched_ops", &Stats::batched_ops,
+     &CacheCounters::batched_ops},
+    {"redy.client.parked_ops", &Stats::parked_ops, &CacheCounters::parked_ops},
+    {"redy.client.retries", &Stats::retries, &CacheCounters::retries},
+    {"redy.client.timeouts", &Stats::timeouts, &CacheCounters::timeouts},
+    {"redy.client.reconnects", &Stats::reconnects, &CacheCounters::reconnects},
+    {"redy.client.hedged_to_replica", &Stats::hedged_to_replica,
+     &CacheCounters::hedged_to_replica},
+    {"redy.recovery.migration_resumes", &Stats::migration_resumes,
+     &CacheCounters::migration_resumes},
+    {"redy.recovery.migration_retargets", &Stats::migration_retargets,
+     &CacheCounters::migration_retargets},
+    {"redy.recovery.repairs_started", &Stats::repairs_started,
+     &CacheCounters::repairs_started},
+    {"redy.recovery.repairs_completed", &Stats::repairs_completed,
+     &CacheCounters::repairs_completed},
+    {"redy.recovery.storm_regions_lost", &Stats::storm_regions_lost,
+     &CacheCounters::storm_regions_lost},
+    {"fence.revocations", &Stats::fence_revocations,
+     &CacheCounters::fence_revocations},
+    {"fence.stale_rejected", &Stats::fence_stale_rejected,
+     &CacheCounters::fence_stale_rejected},
+    {"fence.redirects", &Stats::fence_redirects,
+     &CacheCounters::fence_redirects},
+    {"fence.lease_renewals", &Stats::lease_renewals,
+     &CacheCounters::lease_renewals},
+    {"fence.lease_expirations", &Stats::lease_expirations,
+     &CacheCounters::lease_expirations},
+    {"integrity.checksum_mismatches", &Stats::checksum_mismatches,
+     &CacheCounters::checksum_mismatches},
+    {"integrity.chunks_verified", &Stats::chunks_verified,
+     &CacheCounters::chunks_verified},
+    {"overload.admission_rejected", &Stats::admission_rejected,
+     &CacheCounters::admission_rejected},
+    {"overload.shed_ops", &Stats::shed_ops, &CacheCounters::shed_ops},
+    {"overload.shed_bytes", &Stats::shed_bytes, &CacheCounters::shed_bytes},
+    {"overload.busy_pushbacks", &Stats::busy_pushbacks,
+     &CacheCounters::busy_pushbacks},
+    {"overload.retry_budget_exhausted", &Stats::retry_budget_exhausted,
+     &CacheCounters::retry_budget_exhausted},
+    {"overload.hedge_budget_exhausted", &Stats::hedge_budget_exhausted,
+     &CacheCounters::hedge_budget_exhausted},
+    {"overload.hedge_suppressed", &Stats::hedge_suppressed,
+     &CacheCounters::hedge_suppressed},
+    {"overload.breaker_trips", &Stats::breaker_trips,
+     &CacheCounters::breaker_trips},
+    {"overload.breaker_probes", &Stats::breaker_probes,
+     &CacheCounters::breaker_probes},
+    {"overload.brownout_trips", &Stats::brownout_trips,
+     &CacheCounters::brownout_trips},
+    {"redy.client.indirect_reads", &Stats::indirect_reads,
+     &CacheCounters::indirect_reads},
+    {"redy.client.chained_reads", &Stats::chained_reads,
+     &CacheCounters::chained_reads},
+    {"redy.client.chain_fallbacks", &Stats::chain_fallbacks,
+     &CacheCounters::chain_fallbacks},
+};
+
 void CacheClient::RegisterCacheMetrics(CacheEntry* cache) {
   telemetry::MetricsRegistry& m = tel_->metrics();
   const telemetry::Labels labels{{"cache", std::to_string(cache->id)}};
   CacheCounters& k = cache->ctr;
-  k.reads_completed = m.GetCounter("redy.client.reads_completed", labels);
-  k.writes_completed = m.GetCounter("redy.client.writes_completed", labels);
-  k.read_bytes = m.GetCounter("redy.client.read_bytes", labels);
-  k.write_bytes = m.GetCounter("redy.client.write_bytes", labels);
-  k.errors = m.GetCounter("redy.client.errors", labels);
-  k.one_sided_ops = m.GetCounter("redy.client.one_sided_ops", labels);
-  k.batched_ops = m.GetCounter("redy.client.batched_ops", labels);
-  k.parked_ops = m.GetCounter("redy.client.parked_ops", labels);
-  k.retries = m.GetCounter("redy.client.retries", labels);
-  k.timeouts = m.GetCounter("redy.client.timeouts", labels);
-  k.reconnects = m.GetCounter("redy.client.reconnects", labels);
-  k.hedged_to_replica =
-      m.GetCounter("redy.client.hedged_to_replica", labels);
-  k.migration_resumes =
-      m.GetCounter("redy.recovery.migration_resumes", labels);
-  k.migration_retargets =
-      m.GetCounter("redy.recovery.migration_retargets", labels);
-  k.repairs_started = m.GetCounter("redy.recovery.repairs_started", labels);
-  k.repairs_completed =
-      m.GetCounter("redy.recovery.repairs_completed", labels);
-  k.storm_regions_lost =
-      m.GetCounter("redy.recovery.storm_regions_lost", labels);
-  k.fence_revocations = m.GetCounter("fence.revocations", labels);
-  k.fence_stale_rejected = m.GetCounter("fence.stale_rejected", labels);
-  k.fence_redirects = m.GetCounter("fence.redirects", labels);
-  k.lease_renewals = m.GetCounter("fence.lease_renewals", labels);
-  k.lease_expirations = m.GetCounter("fence.lease_expirations", labels);
-  k.checksum_mismatches =
-      m.GetCounter("integrity.checksum_mismatches", labels);
-  k.chunks_verified = m.GetCounter("integrity.chunks_verified", labels);
-  k.admission_rejected =
-      m.GetCounter("overload.admission_rejected", labels);
-  k.shed_ops = m.GetCounter("overload.shed_ops", labels);
-  k.shed_bytes = m.GetCounter("overload.shed_bytes", labels);
-  k.busy_pushbacks = m.GetCounter("overload.busy_pushbacks", labels);
-  k.retry_budget_exhausted =
-      m.GetCounter("overload.retry_budget_exhausted", labels);
-  k.hedge_budget_exhausted =
-      m.GetCounter("overload.hedge_budget_exhausted", labels);
-  k.hedge_suppressed = m.GetCounter("overload.hedge_suppressed", labels);
-  k.breaker_trips = m.GetCounter("overload.breaker_trips", labels);
-  k.breaker_probes = m.GetCounter("overload.breaker_probes", labels);
-  k.brownout_trips = m.GetCounter("overload.brownout_trips", labels);
-  k.indirect_reads = m.GetCounter("redy.client.indirect_reads", labels);
-  k.chained_reads = m.GetCounter("redy.client.chained_reads", labels);
-  k.chain_fallbacks = m.GetCounter("redy.client.chain_fallbacks", labels);
+  for (const CounterField& f : kCounterFields) {
+    k.*f.live = m.GetCounter(f.name, labels);
+  }
   k.read_latency = m.GetHistogram("redy.client.read_latency_ns", labels);
   k.write_latency = m.GetHistogram("redy.client.write_latency_ns", labels);
   k.inflight = m.GetGauge("redy.client.inflight_ops", labels);
 }
 
 void CacheClient::RefreshStatsView(CacheEntry& cache) {
-  const CacheCounters& k = cache.ctr;
-  const Stats& b = cache.baseline;
-  Stats& v = cache.stats_view;
-  v.reads_completed = k.reads_completed->Value() - b.reads_completed;
-  v.writes_completed = k.writes_completed->Value() - b.writes_completed;
-  v.read_bytes = k.read_bytes->Value() - b.read_bytes;
-  v.write_bytes = k.write_bytes->Value() - b.write_bytes;
-  v.errors = k.errors->Value() - b.errors;
-  v.one_sided_ops = k.one_sided_ops->Value() - b.one_sided_ops;
-  v.batched_ops = k.batched_ops->Value() - b.batched_ops;
-  v.parked_ops = k.parked_ops->Value() - b.parked_ops;
-  v.retries = k.retries->Value() - b.retries;
-  v.timeouts = k.timeouts->Value() - b.timeouts;
-  v.reconnects = k.reconnects->Value() - b.reconnects;
-  v.hedged_to_replica = k.hedged_to_replica->Value() - b.hedged_to_replica;
-  v.migration_resumes = k.migration_resumes->Value() - b.migration_resumes;
-  v.migration_retargets =
-      k.migration_retargets->Value() - b.migration_retargets;
-  v.repairs_started = k.repairs_started->Value() - b.repairs_started;
-  v.repairs_completed = k.repairs_completed->Value() - b.repairs_completed;
-  v.storm_regions_lost =
-      k.storm_regions_lost->Value() - b.storm_regions_lost;
-  v.fence_revocations = k.fence_revocations->Value() - b.fence_revocations;
-  v.fence_stale_rejected =
-      k.fence_stale_rejected->Value() - b.fence_stale_rejected;
-  v.fence_redirects = k.fence_redirects->Value() - b.fence_redirects;
-  v.lease_renewals = k.lease_renewals->Value() - b.lease_renewals;
-  v.lease_expirations = k.lease_expirations->Value() - b.lease_expirations;
-  v.checksum_mismatches =
-      k.checksum_mismatches->Value() - b.checksum_mismatches;
-  v.chunks_verified = k.chunks_verified->Value() - b.chunks_verified;
-  v.admission_rejected =
-      k.admission_rejected->Value() - b.admission_rejected;
-  v.shed_ops = k.shed_ops->Value() - b.shed_ops;
-  v.shed_bytes = k.shed_bytes->Value() - b.shed_bytes;
-  v.busy_pushbacks = k.busy_pushbacks->Value() - b.busy_pushbacks;
-  v.retry_budget_exhausted =
-      k.retry_budget_exhausted->Value() - b.retry_budget_exhausted;
-  v.hedge_budget_exhausted =
-      k.hedge_budget_exhausted->Value() - b.hedge_budget_exhausted;
-  v.hedge_suppressed = k.hedge_suppressed->Value() - b.hedge_suppressed;
-  v.breaker_trips = k.breaker_trips->Value() - b.breaker_trips;
-  v.breaker_probes = k.breaker_probes->Value() - b.breaker_probes;
-  v.brownout_trips = k.brownout_trips->Value() - b.brownout_trips;
-  v.indirect_reads = k.indirect_reads->Value() - b.indirect_reads;
-  v.chained_reads = k.chained_reads->Value() - b.chained_reads;
-  v.chain_fallbacks = k.chain_fallbacks->Value() - b.chain_fallbacks;
+  for (const CounterField& f : kCounterFields) {
+    cache.stats_view.*f.stat =
+        (cache.ctr.*f.live)->Value() - cache.baseline.*f.stat;
+  }
   // Latency histograms reset with ResetStats (quantiles are
   // per-interval), so the cumulative view is the since-reset view.
-  v.read_latency_ns = k.read_latency->cumulative();
-  v.write_latency_ns = k.write_latency->cumulative();
+  cache.stats_view.read_latency_ns = cache.ctr.read_latency->cumulative();
+  cache.stats_view.write_latency_ns = cache.ctr.write_latency->cumulative();
 }
 
 CacheClient::Stats* CacheClient::stats(CacheId id) {
@@ -1847,45 +1835,9 @@ void CacheClient::ResetStats(CacheId id) {
   // Re-base the view on the current counter values. The registry
   // counters themselves are monotonic and keep counting — a repair or
   // migration poller incrementing mid-reset loses nothing.
-  Stats& b = c->baseline;
-  const CacheCounters& k = c->ctr;
-  b.reads_completed = k.reads_completed->Value();
-  b.writes_completed = k.writes_completed->Value();
-  b.read_bytes = k.read_bytes->Value();
-  b.write_bytes = k.write_bytes->Value();
-  b.errors = k.errors->Value();
-  b.one_sided_ops = k.one_sided_ops->Value();
-  b.batched_ops = k.batched_ops->Value();
-  b.parked_ops = k.parked_ops->Value();
-  b.retries = k.retries->Value();
-  b.timeouts = k.timeouts->Value();
-  b.reconnects = k.reconnects->Value();
-  b.hedged_to_replica = k.hedged_to_replica->Value();
-  b.migration_resumes = k.migration_resumes->Value();
-  b.migration_retargets = k.migration_retargets->Value();
-  b.repairs_started = k.repairs_started->Value();
-  b.repairs_completed = k.repairs_completed->Value();
-  b.storm_regions_lost = k.storm_regions_lost->Value();
-  b.fence_revocations = k.fence_revocations->Value();
-  b.fence_stale_rejected = k.fence_stale_rejected->Value();
-  b.fence_redirects = k.fence_redirects->Value();
-  b.lease_renewals = k.lease_renewals->Value();
-  b.lease_expirations = k.lease_expirations->Value();
-  b.checksum_mismatches = k.checksum_mismatches->Value();
-  b.chunks_verified = k.chunks_verified->Value();
-  b.admission_rejected = k.admission_rejected->Value();
-  b.shed_ops = k.shed_ops->Value();
-  b.shed_bytes = k.shed_bytes->Value();
-  b.busy_pushbacks = k.busy_pushbacks->Value();
-  b.retry_budget_exhausted = k.retry_budget_exhausted->Value();
-  b.hedge_budget_exhausted = k.hedge_budget_exhausted->Value();
-  b.hedge_suppressed = k.hedge_suppressed->Value();
-  b.breaker_trips = k.breaker_trips->Value();
-  b.breaker_probes = k.breaker_probes->Value();
-  b.brownout_trips = k.brownout_trips->Value();
-  b.indirect_reads = k.indirect_reads->Value();
-  b.chained_reads = k.chained_reads->Value();
-  b.chain_fallbacks = k.chain_fallbacks->Value();
+  for (const CounterField& f : kCounterFields) {
+    c->baseline.*f.stat = (c->ctr.*f.live)->Value();
+  }
   c->ctr.read_latency->Reset();
   c->ctr.write_latency->Reset();
   RefreshStatsView(*c);

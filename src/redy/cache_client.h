@@ -56,54 +56,25 @@ class CacheClient {
     uint64_t region_bytes = 64 * kMiB;
     /// Capacity of each client thread's batch ring (requests).
     uint32_t batch_ring_capacity = 1 << 14;
-    /// Slot size of the one-sided staging ring; ops larger than this
-    /// use a transient registered buffer.
-    uint64_t one_sided_slot_bytes = 64 * kKiB;
     /// Cap on regions per cache VM (0 = unlimited). A nonzero cap makes
     /// region fan-out across VMs deterministic and bounds how many
     /// regions one VM loss takes down.
     uint32_t max_regions_per_vm = 0;
 
-    // --- Migration (Section 6.2) ---
+    // --- Migration and repair (Section 6.2) ---
     /// Serve reads from the old VM while a region migrates.
     bool unpaused_reads = true;
     /// Pause writes only to the region currently being migrated
     /// (instead of all migrating regions for the whole migration).
     bool pause_per_region_writes = true;
-    /// Chunking of the migration transfer.
+    /// Chunk size of a region copy (migration or replica repair).
     uint64_t migration_chunk_bytes = 256 * kKiB;
-    uint32_t migration_depth = 8;
-    /// Pacing of the transfer. The paper's tuned transfer moved 1 GB in
-    /// 1.09 s (~8 Gb/s effective), leaving the victim's NIC with ample
-    /// headroom to keep serving unpaused reads; we pace to the same
-    /// rate. Set to 0 for an unthrottled (line-rate) transfer.
-    double migration_bandwidth_bps = 8e9;
-    /// Aggregate migration bandwidth across *all* concurrent region
-    /// copies (reclamation storms). Concurrency is capped at
-    /// total/per-transfer rate; per-copy pacing also splits any link
-    /// shared by several copies. 0 = no aggregate cap.
-    double migration_total_bandwidth_bps = 8e9;
-    /// Schedule overlapping migrations earliest-deadline-first instead
-    /// of racing every transfer at once. Under a storm EDF finishes
-    /// whole regions before their force-free; naive racing splits the
-    /// bandwidth and tends to lose a little of everything.
+    /// Schedule overlapping migrations earliest-deadline-first, one
+    /// copy at a time, instead of racing every transfer at once. Under
+    /// a storm EDF finishes whole regions before their force-free;
+    /// naive racing splits the bandwidth and tends to lose a little of
+    /// everything.
     bool edf_migration = true;
-    /// Cap on resume attempts per region copy (gray faults can make a
-    /// transfer fail repeatedly; past this the region counts as lost).
-    uint32_t migration_max_resumes = 64;
-    /// Backoff base between target re-allocation attempts during
-    /// recovery (doubles per attempt; also woken by allocator capacity).
-    uint64_t recovery_alloc_backoff_ns = 50 * kMicrosecond;
-    /// Automatically migrate/repair when the manager reports VM loss.
-    bool auto_recover = true;
-
-    // --- Re-replication repair (Section 6.2) ---
-    /// Allocation attempts before a degraded region gives up repairing
-    /// (it stays degraded; the next loss retries).
-    uint32_t repair_max_attempts = 8;
-    /// Backoff base between repair allocation attempts (doubles per
-    /// attempt, capped at 100 ms; also woken by allocator capacity).
-    uint64_t repair_backoff_ns = 100 * kMicrosecond;
 
     // --- Resilience (fault tolerance) ---
     /// Retries for sub-ops failing with a retryable status (Unavailable
@@ -120,12 +91,9 @@ class CacheClient {
     /// +-50% jitter to avoid synchronized retry storms), capped below.
     uint64_t retry_backoff_ns = 5 * kMicrosecond;
     uint64_t retry_backoff_max_ns = 1 * kMillisecond;
-    /// Send retried reads — and new reads whose primary connection is
-    /// unhealthy — to the region's replica when one exists.
-    bool hedge_reads_to_replica = true;
-    /// Consecutive connection resets after which a VM counts as
-    /// unhealthy (reads divert to replicas until a sub-op succeeds).
-    uint32_t unhealthy_after = 2;
+    // Fixed (DESIGN.md §7): retried reads, and reads whose primary VM
+    // took two consecutive connection resets, hedge to the replica;
+    // kBusy retries back off 4x longer than transport-fault retries.
 
     // --- Overload resilience (DESIGN.md §12) ---
     /// Global retry budget: retries are capped at this fraction of
@@ -159,9 +127,6 @@ class CacheClient {
     uint32_t brownout_trip_signals = 8;
     uint64_t brownout_window_ns = 100 * kMicrosecond;
     uint64_t brownout_duration_ns = 200 * kMicrosecond;
-    /// kBusy retries back off this much longer than transport-fault
-    /// retries (the server asked for air, not for a fast retry).
-    uint64_t busy_backoff_multiplier = 4;
 
     // --- Fencing & integrity (DESIGN.md §7) ---
     /// Epoch-fence remote access: revoke a region's rkeys at migration
@@ -171,11 +136,7 @@ class CacheClient {
     /// stale keys then stay valid forever and a zombie write can land
     /// on a migrated (reassignable) region silently.
     bool epoch_fencing = true;
-    /// End-to-end payload checksums: op headers carry a checksum the
-    /// server verifies before applying writes; responses and migration
-    /// chunk copies are verified on arrival. Detects silent corruption,
-    /// not just loss.
-    bool verify_checksums = true;
+    // End-to-end payload and copy-chunk checksums are always verified.
     /// Lease TTL for two-sided configurations (s > 0). A write against
     /// a region whose lease lapsed is deferred until a renewal round
     /// trip confirms the client hasn't missed a revocation. Renewal
@@ -665,6 +626,16 @@ class CacheClient {
     telemetry::TrackId trace_track = 0;
   };
 
+  /// One per-cache counter: its registry name, its Stats view field
+  /// and its live registry handle. kCounterFields lists them all; the
+  /// registration, the Stats view and ResetStats loop over it.
+  struct CounterField {
+    const char* name;
+    uint64_t Stats::*stat;
+    telemetry::Counter* CacheCounters::*live;
+  };
+  static const CounterField kCounterFields[];
+
   Result<CacheId> Install(CacheManager::Allocation alloc, uint64_t capacity,
                           const Slo& slo, bool spot);
   /// Registers the cache's counters/histograms with the telemetry
@@ -682,8 +653,6 @@ class CacheClient {
                                 telemetry::SpanTracer& tracer);
   /// Shared recovery-supervisor lane (migration/repair job spans).
   telemetry::TrackId RecoveryTrack(telemetry::SpanTracer& tracer);
-  /// Closes the region's open "repair" span, if any.
-  void EndRepairSpan(VRegion& vr);
   /// (Re)creates the cache's client threads for its current config.
   void StartThreads(CacheEntry* cache);
   /// Breaks and forgets all connections to `vm` across threads.
@@ -793,8 +762,9 @@ class CacheClient {
   /// source (primary or replica), (re)allocates a target when needed,
   /// then launches the chunked transfer from the acked prefix.
   void StartRegionCopy(MigrationJob* job);
-  void BeginChunkCopy(MigrationJob* job);
-  void HandleCopyEnd(MigrationJob* job);
+  /// The region copy ended: swap in the target, resume from the acked
+  /// prefix, re-target, or count the region lost.
+  void HandleCopyEnd(MigrationJob* job, bool failed);
   /// Both copies of the region are gone (or resumes exhausted):
   /// account the loss exactly and move on with the acked prefix.
   void RegionLost(MigrationJob* job);
@@ -818,23 +788,33 @@ class CacheClient {
   /// A placement is usable as copy endpoint: VM alive, NIC up, and no
   /// passed reclamation deadline.
   bool VmUsable(const CacheManager::RegionPlacement& p) const;
-  uint32_t TransferSlots() const;
-  /// Pacing interval for one chunk given current link sharing.
-  uint64_t CopyPaceNs(net::ServerId src, net::ServerId dst) const;
-  void AcquireCopyLink(MigrationJob* job, net::ServerId src,
-                       net::ServerId dst);
-  void ReleaseCopyLink(MigrationJob* job);
-  void LinkAcquire(net::ServerId src, net::ServerId dst);
-  void LinkRelease(net::ServerId src, net::ServerId dst);
   /// Background (repair) copies yield to deadline-driven migrations.
   bool CanStartBackgroundCopy() const;
   void NotifyRecovery(const char* kind);
 
-  /// Paced chunked one-sided copy of `bytes` from `src` to `dst`
-  /// region placements; `done(failed)` fires when the last chunk lands.
-  void TransferRegion(const CacheManager::RegionPlacement& src,
+  // --- region copier (migration and repair share it) ---
+  struct RegionCopy;
+  /// `failed` is set unless every byte landed verified; `acked_end` is
+  /// the end of the contiguous verified prefix on the target.
+  using CopyDone = std::function<void(bool failed, uint64_t acked_end)>;
+  /// Copies `cache`'s region bytes [start_off, region_bytes) from `src`
+  /// to `dst` with paced, chunked one-sided READs issued by the target
+  /// NIC, checksumming every chunk. `done` fires from a fresh event
+  /// once the last chunk completed. Returns the copy's id.
+  uint64_t CopyRegion(CacheId cache,
+                      const CacheManager::RegionPlacement& src,
                       const CacheManager::RegionPlacement& dst,
-                      uint64_t bytes, std::function<void(bool)> done);
+                      uint64_t start_off, CopyDone done);
+  /// One poll of a running copy: reap and verify completions, post the
+  /// next chunk, and schedule the finish once nothing is in flight.
+  uint64_t PollCopy(RegionCopy& copy);
+  /// Tears down a copy without running its `done` (cache deleted).
+  void CancelCopy(uint64_t copy_id);
+  /// Destroys the copy's QP and returns its share of the bandwidth.
+  void ReleaseCopy(RegionCopy& copy);
+  /// Pacing interval for one chunk: the copy bandwidth budget split
+  /// evenly across the copies running now.
+  uint64_t CopyPaceNs() const;
 
   // --- replication internals ---
   /// Instant failover of replicated regions off `vm`, then background
@@ -849,6 +829,9 @@ class CacheClient {
   void ScheduleRepair(CacheId id, uint32_t vregion, uint32_t attempt,
                       uint64_t delay_ns);
   void RepairAttempt(CacheId id, uint32_t vregion, uint32_t attempt);
+  /// Every exit of a repair job: closes its span (when `cache` is still
+  /// live) and drops it from the pending-recovery count.
+  void FinishRepair(CacheEntry* cache, uint32_t vregion);
 
   void OnVmLoss(cluster::VmId vm, sim::SimTime deadline);
   /// The recovery reaction to a VM-loss notice (failover / migrate).
@@ -891,11 +874,8 @@ class CacheClient {
   /// continuations look jobs up here instead of capturing pointers.
   std::unordered_map<uint64_t, MigrationJob*> migration_jobs_;
   uint32_t running_jobs_ = 0;
-  /// Region copies currently moving bytes (splits the aggregate cap).
+  /// Region copies currently moving bytes (split the copy bandwidth).
   uint32_t copies_active_ = 0;
-  /// Copies touching each physical node (splits the per-link cap).
-  /// Flat-hashed (never iterated): consulted on every chunk pace.
-  common::FlatMap<uint32_t> busy_links_;
   /// Reclamation deadlines by VM: a VM whose deadline passed is dead
   /// as a copy endpoint even if the manager still has its agent.
   /// Flat-hashed (never iterated): consulted per placement check.

@@ -5,10 +5,9 @@
 // Migration is built to survive adversarial schedules, not just the
 // calm single-loss case:
 //  - Overlapping reclamation notices (a "storm") queue as jobs and are
-//    admitted earliest-deadline-first under a transfer-slot cap derived
-//    from the aggregate migration bandwidth, so whole regions complete
-//    before their force-free instead of every transfer racing at a
-//    fraction of the rate and losing a little of everything.
+//    admitted earliest-deadline-first one at a time, so whole regions
+//    complete before their force-free instead of every transfer racing
+//    at a fraction of the rate and losing a little of everything.
 //  - Each region copy tracks its acknowledged prefix (completions are
 //    delivered in post order per QP, so the prefix is contiguous). A
 //    copy that dies resumes from that prefix, re-targets to a freshly
@@ -17,6 +16,10 @@
 //  - When both copies of a region are gone, the loss is accounted
 //    exactly (bytes_lost / lost_vregions) and the region re-homes to a
 //    blank replacement so the cache stays structurally intact.
+//
+// Migration and replica repair move bytes with the same region copier
+// (CopyRegion): paced, chunked, checksummed one-sided READs that share
+// one bandwidth budget.
 
 #include <algorithm>
 #include <cstdio>
@@ -28,6 +31,23 @@
 #include "redy/cache_client.h"
 
 namespace redy {
+
+namespace {
+
+/// Copy bandwidth budget shared by every running copy. The paper's
+/// tuned transfer moved 1 GB in 1.09 s (~8 Gb/s effective), leaving the
+/// victim's NIC headroom to keep serving unpaused reads.
+constexpr double kCopyBandwidthBps = 8e9;
+/// Chunk READs in flight per copy.
+constexpr uint32_t kCopyDepth = 8;
+/// Resumes per region copy before the region counts as lost (gray
+/// faults can make a transfer fail over and over).
+constexpr uint32_t kMaxCopyResumes = 64;
+/// Backoff base between target re-allocations (doubles per attempt up
+/// to 64x; the allocator's capacity waitlist also wakes the copy).
+constexpr uint64_t kTargetAllocBackoffNs = 50 * kMicrosecond;
+
+}  // namespace
 
 /// State of one queued or running migration job. Regions move one at a
 /// time; the bandwidth-optimized transfer runs as chunked one-sided
@@ -53,20 +73,9 @@ struct CacheClient::MigrationJob {
   bool alloc_waiting = false;    // parked on allocator backoff/waitlist
   uint32_t alloc_attempts = 0;
   uint64_t acked_off = 0;        // contiguous acknowledged prefix
-  uint64_t next_chunk_off = 0;
-  uint32_t chunks_out = 0;
-  std::deque<uint32_t> chunk_lens;  // lens of in-flight chunks, in order
-  std::deque<uint64_t> chunk_sums;  // source checksums, parallel to lens
-  bool copy_failed = false;
   uint32_t region_resumes = 0;
   bool loss_accounted = false;
-  bool link_held = false;
-  net::ServerId link_src = net::kInvalidServer;
-  net::ServerId link_dst = net::kInvalidServer;
-
-  rdma::QueuePair* qp = nullptr;    // on the target server's NIC
-  rdma::QueuePair* peer = nullptr;  // on the source's NIC
-  std::unique_ptr<sim::Poller> driver;
+  uint64_t copy = 0;             // running CopyRegion id (0 = none)
   /// Quiesce/drain poller for the current phase. Reassigned per phase
   /// (never from inside its own body, so the replacement is safe).
   std::unique_ptr<sim::Poller> gate;
@@ -188,7 +197,7 @@ Status CacheClient::StartMigration(
 
 void CacheClient::PumpRecovery() {
   while (!migration_queue_.empty()) {
-    if (options_.edf_migration && running_jobs_ >= TransferSlots()) break;
+    if (options_.edf_migration && running_jobs_ > 0) break;
     // Earliest deadline first; admission order breaks ties.
     size_t best = 0;
     for (size_t i = 1; i < migration_queue_.size(); i++) {
@@ -216,74 +225,9 @@ void CacheClient::StartJob(MigrationJob* job) {
   MigrateNextRegion(job);
 }
 
-uint32_t CacheClient::TransferSlots() const {
-  const double per = options_.migration_bandwidth_bps;
-  const double total = options_.migration_total_bandwidth_bps;
-  if (per <= 0 || total <= 0) return UINT32_MAX;
-  return std::max(1u, static_cast<uint32_t>(total / per));
-}
-
-uint64_t CacheClient::CopyPaceNs(net::ServerId src, net::ServerId dst) const {
-  double rate = options_.migration_bandwidth_bps;
-  const double total = options_.migration_total_bandwidth_bps;
-  if (total > 0 && copies_active_ > 0) {
-    const double share = total / copies_active_;
-    rate = rate <= 0 ? share : std::min(rate, share);
-  }
-  if (options_.migration_bandwidth_bps > 0) {
-    // A node touched by several concurrent copies splits its budget.
-    for (net::ServerId n : {src, dst}) {
-      const uint32_t* busy = busy_links_.Find(n);
-      if (busy != nullptr && *busy > 1) {
-        rate = std::min(rate, options_.migration_bandwidth_bps / *busy);
-      }
-      if (dst == src) break;
-    }
-  }
-  if (rate <= 0) return 0;
-  return static_cast<uint64_t>(
-      static_cast<double>(options_.migration_chunk_bytes) * 8.0 / rate *
-      1e9);
-}
-
-void CacheClient::LinkAcquire(net::ServerId src, net::ServerId dst) {
-  copies_active_++;
-  gauge_copies_active_->Set(static_cast<int64_t>(copies_active_));
-  busy_links_[src]++;
-  if (dst != src) busy_links_[dst]++;
-}
-
-void CacheClient::LinkRelease(net::ServerId src, net::ServerId dst) {
-  REDY_CHECK(copies_active_ > 0);
-  copies_active_--;
-  gauge_copies_active_->Set(static_cast<int64_t>(copies_active_));
-  auto drop = [this](net::ServerId n) {
-    uint32_t* busy = busy_links_.Find(n);
-    REDY_CHECK(busy != nullptr && *busy > 0);
-    if (--*busy == 0) busy_links_.Erase(n);
-  };
-  drop(src);
-  if (dst != src) drop(dst);
-}
-
-void CacheClient::AcquireCopyLink(MigrationJob* job, net::ServerId src,
-                                  net::ServerId dst) {
-  REDY_CHECK(!job->link_held);
-  job->link_held = true;
-  job->link_src = src;
-  job->link_dst = dst;
-  LinkAcquire(src, dst);
-}
-
-void CacheClient::ReleaseCopyLink(MigrationJob* job) {
-  if (!job->link_held) return;
-  job->link_held = false;
-  LinkRelease(job->link_src, job->link_dst);
-}
-
 bool CacheClient::CanStartBackgroundCopy() const {
   if (!options_.edf_migration) return true;
-  return migration_queue_.empty() && copies_active_ < TransferSlots();
+  return migration_queue_.empty() && copies_active_ == 0;
 }
 
 bool CacheClient::VmUsable(const CacheManager::RegionPlacement& p) const {
@@ -331,11 +275,6 @@ void CacheClient::MigrateNextRegion(MigrationJob* job) {
   job->alloc_waiting = false;
   job->alloc_attempts = 0;
   job->acked_off = 0;
-  job->next_chunk_off = 0;
-  job->chunks_out = 0;
-  job->chunk_lens.clear();
-  job->chunk_sums.clear();
-  job->copy_failed = false;
   job->region_resumes = 0;
   job->loss_accounted = false;
 
@@ -444,7 +383,7 @@ void CacheClient::StartRegionCopy(MigrationJob* job) {
       // allocator's capacity waitlist. alloc_waiting dedupes the two
       // wakeups.
       job->alloc_waiting = true;
-      const uint64_t delay = options_.recovery_alloc_backoff_ns
+      const uint64_t delay = kTargetAllocBackoffNs
                              << std::min<uint32_t>(job->alloc_attempts, 6);
       job->alloc_attempts++;
       const uint64_t bg = job->bg_id;
@@ -475,7 +414,15 @@ void CacheClient::StartRegionCopy(MigrationJob* job) {
     RegionLost(job);
     return;
   }
-  BeginChunkCopy(job);
+  job->copy = CopyRegion(
+      job->cache_id, job->source, *job->target, job->acked_off,
+      [this, bg = job->bg_id](bool failed, uint64_t acked_end) {
+        auto it = migration_jobs_.find(bg);
+        if (it == migration_jobs_.end()) return;
+        it->second->copy = 0;
+        it->second->acked_off = acked_end;
+        HandleCopyEnd(it->second, failed);
+      });
 }
 
 void CacheClient::ResumeRegion(uint64_t bg_id) {
@@ -485,137 +432,7 @@ void CacheClient::ResumeRegion(uint64_t bg_id) {
   StartRegionCopy(it->second);
 }
 
-void CacheClient::BeginChunkCopy(MigrationJob* job) {
-  CacheEntry& cache = *FindCache(job->cache_id);
-  const CacheManager::RegionPlacement src = job->source;
-  const CacheManager::RegionPlacement dst = *job->target;
-  AcquireCopyLink(job, src.node, dst.node);
-
-  job->copy_failed = false;
-  job->qp = fabric_->NicAt(dst.node)->CreateQueuePair(
-      options_.migration_depth);
-  job->peer = fabric_->NicAt(src.node)->CreateQueuePair(
-      options_.migration_depth);
-  if (!job->qp->Connect(job->peer).ok()) job->copy_failed = true;
-  job->next_chunk_off = job->acked_off;  // resume at the acked prefix
-  job->chunks_out = 0;
-  job->chunk_lens.clear();
-  job->chunk_sums.clear();
-
-  rdma::MemoryRegion* dst_mr = dst.server->region(dst.region_index);
-  rdma::MemoryRegion* src_mr = src.server->region(src.region_index);
-  const rdma::RemoteKey src_key = src.key;
-  const uint64_t region_bytes = cache.region_bytes;
-
-  job->driver = std::make_unique<sim::Poller>(
-      sim_, 250,
-      [this, job, dst_mr, src_mr, src_key, region_bytes,
-       src_node = src.node, dst_node = dst.node]() -> uint64_t {
-        uint64_t consumed = 0;
-        rdma::WorkCompletion wc;
-        while (job->qp->send_cq().Poll(&wc, 1) == 1) {
-          REDY_CHECK(job->chunks_out > 0);
-          job->chunks_out--;
-          const uint32_t len = job->chunk_lens.front();
-          job->chunk_lens.pop_front();
-          const uint64_t want_sum = job->chunk_sums.front();
-          job->chunk_sums.pop_front();
-          if (wc.status != StatusCode::kOk) {
-            job->copy_failed = true;
-          } else if (!job->copy_failed) {
-            // Completions arrive in post order per QP, so successes
-            // before the first failure extend a contiguous prefix. The
-            // chunk now sits at [acked_off, acked_off+len) on the
-            // target; re-checksum it against the source-side sum taken
-            // at post time. A mismatch means the source mutated under
-            // the read (a zombie write racing the copy) — fail the
-            // copy without advancing the acked prefix so the resume
-            // re-reads the chunk.
-            bool chunk_ok = true;
-            if (options_.verify_checksums) {
-              CacheEntry& c = *FindCache(job->cache_id);
-              c.ctr.chunks_verified->Inc();
-              if (Checksum64(dst_mr->data() + job->acked_off, len) !=
-                  want_sum) {
-                chunk_ok = false;
-                c.ctr.checksum_mismatches->Inc();
-                job->copy_failed = true;
-                if (telemetry::SpanTracer* tr = ActiveTracer()) {
-                  tr->Instant(RecoveryTrack(*tr), "chunk_corrupt",
-                              "recovery", sim_->Now(),
-                              {"cache", job->cache_id},
-                              {"off", job->acked_off});
-                }
-              }
-            }
-            if (chunk_ok) {
-              job->acked_off += len;
-              if (telemetry::SpanTracer* tr = ActiveTracer()) {
-                tr->Instant(RecoveryTrack(*tr), "chunk_acked", "recovery",
-                            sim_->Now(), {"cache", job->cache_id},
-                            {"acked_off", job->acked_off});
-              }
-            }
-          }
-          consumed += 100;
-        }
-        // A source that vanished stops producing completions only for
-        // chunks not yet posted; stop posting against it.
-        if (!job->copy_failed && job->next_chunk_off < region_bytes &&
-            !VmUsable(job->source)) {
-          job->copy_failed = true;
-        }
-        // Pacing adapts to the current link sharing every iteration.
-        const uint64_t pace_ns = CopyPaceNs(src_node, dst_node);
-        while (!job->copy_failed && job->next_chunk_off < region_bytes &&
-               job->qp->outstanding() < options_.migration_depth) {
-          const uint64_t len =
-              std::min(options_.migration_chunk_bytes,
-                       region_bytes - job->next_chunk_off);
-          Status st = job->qp->PostRead(job->next_chunk_off, dst_mr,
-                                        job->next_chunk_off, src_key,
-                                        job->next_chunk_off, len);
-          if (!st.ok()) {
-            job->copy_failed = true;
-            break;
-          }
-          job->chunks_out++;
-          job->chunk_lens.push_back(static_cast<uint32_t>(len));
-          // Source-side checksum at post time: the copy is only correct
-          // if the source stays frozen until the read lands.
-          job->chunk_sums.push_back(
-              options_.verify_checksums
-                  ? Checksum64(src_mr->data() + job->next_chunk_off, len)
-                  : 0);
-          job->next_chunk_off += len;
-          consumed += 200;
-          if (pace_ns > 0) break;  // at most one chunk per pace interval
-        }
-        const bool finished =
-            (job->next_chunk_off >= region_bytes || job->copy_failed) &&
-            job->chunks_out == 0;
-        if (finished) {
-          job->driver->Stop();
-          // Finalize outside the poller body.
-          sim_->After(0, [this, bg = job->bg_id] {
-            auto it = migration_jobs_.find(bg);
-            if (it != migration_jobs_.end()) HandleCopyEnd(it->second);
-          });
-        }
-        if (consumed == 0) return 50;
-        return pace_ns > consumed ? pace_ns : consumed;
-      });
-  job->driver->Start();
-}
-
-void CacheClient::HandleCopyEnd(MigrationJob* job) {
-  job->driver.reset();
-  if (job->qp != nullptr) {
-    job->qp->nic()->DestroyQueuePair(job->qp);
-    job->qp = nullptr;
-    job->peer = nullptr;
-  }
-  ReleaseCopyLink(job);
+void CacheClient::HandleCopyEnd(MigrationJob* job, bool failed) {
   CacheEntry& cache = *FindCache(job->cache_id);
 
   if (!VmUsable(*job->target)) {
@@ -624,7 +441,7 @@ void CacheClient::HandleCopyEnd(MigrationJob* job) {
     StartRegionCopy(job);
     return;
   }
-  if (!job->copy_failed) {
+  if (!failed) {
     job->event.bytes += cache.region_bytes;
     SwapRegion(job);
     MigrateNextRegion(job);
@@ -633,7 +450,7 @@ void CacheClient::HandleCopyEnd(MigrationJob* job) {
   // Transfer failed (gray fault, source loss, broken QP): resume from
   // the acknowledged prefix, bounded so a persistently failing copy
   // eventually counts as lost.
-  if (job->region_resumes >= options_.migration_max_resumes) {
+  if (job->region_resumes >= kMaxCopyResumes) {
     RegionLost(job);
     return;
   }
@@ -796,13 +613,7 @@ void CacheClient::AbortCacheRecovery(CacheEntry& cache) {
       }
     }
     job->gate.reset();
-    job->driver.reset();
-    if (job->qp != nullptr) {
-      job->qp->nic()->DestroyQueuePair(job->qp);
-      job->qp = nullptr;
-      job->peer = nullptr;
-    }
-    ReleaseCopyLink(job);
+    if (job->copy != 0) CancelCopy(job->copy);
     if (job->target.has_value()) manager_->ReleaseVm(job->target->vm_id);
     REDY_CHECK(cache.recovery_tasks > 0);
     cache.recovery_tasks--;
@@ -864,114 +675,172 @@ std::vector<std::string> CacheClient::CheckInvariants() const {
   return violations;
 }
 
-void CacheClient::TransferRegion(const CacheManager::RegionPlacement& src,
-                                 const CacheManager::RegionPlacement& dst,
-                                 uint64_t bytes,
-                                 std::function<void(bool)> done) {
-  struct Xfer {
-    rdma::QueuePair* qp = nullptr;
-    rdma::QueuePair* peer = nullptr;
-    rdma::MemoryRegion* src_mr = nullptr;
-    std::unique_ptr<sim::Poller> driver;
-    uint64_t next_off = 0;
-    uint32_t out = 0;
-    std::deque<uint32_t> lens;   // in-flight chunk lens, post order
-    std::deque<uint64_t> offs;   // matching destination offsets
-    std::deque<uint64_t> sums;   // matching source-side checksums
-    bool failed = false;
-    std::function<void(bool)> done;
+// ---------------------------------------------------------------------------
+// Region copier (migration and replica repair)
+// ---------------------------------------------------------------------------
+
+/// One running region copy. The target's NIC READs chunk after chunk
+/// out of the source region; completions arrive in post order per QP,
+/// so the verified chunks form a contiguous prefix.
+struct CacheClient::RegionCopy {
+  struct Chunk {
+    uint32_t len = 0;
+    uint64_t sum = 0;  // source-side checksum taken at post time
   };
-  auto x = std::make_shared<Xfer>();
-  x->done = std::move(done);
-  const uint64_t bg = next_bg_id_++;
-  background_[bg] = x;
+  uint64_t id = 0;  // key in background_
+  CacheId cache_id = 0;
+  CacheManager::RegionPlacement source;
+  rdma::MemoryRegion* src_mr = nullptr;
+  rdma::MemoryRegion* dst_mr = nullptr;
+  uint64_t region_bytes = 0;
+  uint64_t next_off = 0;   // next chunk to post
+  uint64_t acked_end = 0;  // end of the verified prefix
+  std::deque<Chunk> inflight;  // posted chunks, in post order
+  bool failed = false;
+  rdma::QueuePair* qp = nullptr;  // on the target's NIC
+  std::unique_ptr<sim::Poller> driver;
+  CopyDone done;
+};
 
-  // Repair/background copies share the migration bandwidth budget.
-  LinkAcquire(src.node, dst.node);
+uint64_t CacheClient::CopyRegion(CacheId cache_id,
+                                 const CacheManager::RegionPlacement& src,
+                                 const CacheManager::RegionPlacement& dst,
+                                 uint64_t start_off, CopyDone done) {
+  auto owned = std::make_shared<RegionCopy>();
+  RegionCopy& c = *owned;
+  c.id = next_bg_id_++;
+  background_[c.id] = owned;
+  c.cache_id = cache_id;
+  c.source = src;
+  c.src_mr = src.server->region(src.region_index);
+  c.dst_mr = dst.server->region(dst.region_index);
+  c.region_bytes = FindCache(cache_id)->region_bytes;
+  c.next_off = start_off;
+  c.acked_end = start_off;
+  c.done = std::move(done);
 
-  x->qp = fabric_->NicAt(dst.node)->CreateQueuePair(
-      options_.migration_depth);
-  x->peer = fabric_->NicAt(src.node)->CreateQueuePair(
-      options_.migration_depth);
-  if (!x->qp->Connect(x->peer).ok()) x->failed = true;
+  copies_active_++;
+  gauge_copies_active_->Set(static_cast<int64_t>(copies_active_));
+  c.qp = fabric_->NicAt(dst.node)->CreateQueuePair(kCopyDepth);
+  rdma::QueuePair* peer =
+      fabric_->NicAt(src.node)->CreateQueuePair(kCopyDepth);
+  if (!c.qp->Connect(peer).ok()) c.failed = true;
 
-  rdma::MemoryRegion* dst_mr = dst.server->region(dst.region_index);
-  x->src_mr = src.server->region(src.region_index);
-  const rdma::RemoteKey src_key = src.key;
+  c.driver = std::make_unique<sim::Poller>(
+      sim_, 250, [this, copy = &c]() -> uint64_t { return PollCopy(*copy); });
+  c.driver->Start();
+  return c.id;
+}
 
-  x->driver = std::make_unique<sim::Poller>(
-      sim_, 250,
-      [this, xp = x.get(), bg, dst_mr, src_key, bytes,
-       src_node = src.node, dst_node = dst.node]() -> uint64_t {
-        uint64_t consumed = 0;
-        rdma::WorkCompletion wc;
-        while (xp->qp->send_cq().Poll(&wc, 1) == 1) {
-          REDY_CHECK(xp->out > 0);
-          xp->out--;
-          const uint32_t len = xp->lens.front();
-          xp->lens.pop_front();
-          const uint64_t off = xp->offs.front();
-          xp->offs.pop_front();
-          const uint64_t want = xp->sums.front();
-          xp->sums.pop_front();
-          if (wc.status != StatusCode::kOk) {
-            xp->failed = true;
-          } else if (!xp->failed && options_.verify_checksums &&
-                     Checksum64(dst_mr->data() + off, len) != want) {
-            // Replica repair shares the end-to-end integrity contract
-            // with migration: a chunk that lands differently from the
-            // source snapshot fails the whole transfer (the caller
-            // retries or accounts the loss), never goes live corrupt.
-            xp->failed = true;
-          }
-          consumed += 100;
+uint64_t CacheClient::PollCopy(RegionCopy& c) {
+  uint64_t consumed = 0;
+  rdma::WorkCompletion wc;
+  while (c.qp->send_cq().Poll(&wc, 1) == 1) {
+    REDY_CHECK(!c.inflight.empty());
+    const RegionCopy::Chunk chunk = c.inflight.front();
+    c.inflight.pop_front();
+    if (wc.status != StatusCode::kOk) {
+      c.failed = true;
+    } else if (!c.failed) {
+      // Successes before the first failure extend the prefix: the chunk
+      // sits at [acked_end, acked_end+len) on the target. Re-checksum it
+      // against the source-side sum. A mismatch means the source mutated
+      // under the read (a zombie write racing the copy): fail the copy
+      // without advancing the prefix, so a resume re-reads the chunk.
+      CacheEntry* cache = FindCache(c.cache_id);
+      if (cache != nullptr) cache->ctr.chunks_verified->Inc();
+      if (Checksum64(c.dst_mr->data() + c.acked_end, chunk.len) !=
+          chunk.sum) {
+        if (cache != nullptr) cache->ctr.checksum_mismatches->Inc();
+        c.failed = true;
+        if (telemetry::SpanTracer* tr = ActiveTracer()) {
+          tr->Instant(RecoveryTrack(*tr), "chunk_corrupt", "recovery",
+                      sim_->Now(), {"cache", c.cache_id},
+                      {"off", c.acked_end});
         }
-        const uint64_t pace_ns = CopyPaceNs(src_node, dst_node);
-        while (!xp->failed && xp->next_off < bytes &&
-               xp->qp->outstanding() < options_.migration_depth) {
-          const uint64_t len = std::min(options_.migration_chunk_bytes,
-                                        bytes - xp->next_off);
-          Status st = xp->qp->PostRead(xp->next_off, dst_mr, xp->next_off,
-                                       src_key, xp->next_off, len);
-          if (!st.ok()) {
-            xp->failed = true;
-            break;
-          }
-          xp->out++;
-          xp->lens.push_back(static_cast<uint32_t>(len));
-          xp->offs.push_back(xp->next_off);
-          xp->sums.push_back(
-              options_.verify_checksums
-                  ? Checksum64(xp->src_mr->data() + xp->next_off, len)
-                  : 0);
-          xp->next_off += len;
-          consumed += 200;
-          if (pace_ns > 0) break;
+      } else {
+        c.acked_end += chunk.len;
+        if (telemetry::SpanTracer* tr = ActiveTracer()) {
+          tr->Instant(RecoveryTrack(*tr), "chunk_acked", "recovery",
+                      sim_->Now(), {"cache", c.cache_id},
+                      {"acked_off", c.acked_end});
         }
-        if ((xp->next_off >= bytes || xp->failed) && xp->out == 0) {
-          xp->driver->Stop();
-          sim_->After(0, [this, xp, bg, src_node, dst_node] {
-            if (xp->qp != nullptr) {
-              xp->qp->nic()->DestroyQueuePair(xp->qp);
-              xp->qp = nullptr;
-              xp->peer = nullptr;
-            }
-            LinkRelease(src_node, dst_node);
-            auto done = std::move(xp->done);
-            const bool failed = xp->failed;
-            background_.erase(bg);  // destroys the Xfer and its poller
-            done(failed);
-          });
-        }
-        if (consumed == 0) return 50;
-        return pace_ns > consumed ? pace_ns : consumed;
-      });
-  x->driver->Start();
+      }
+    }
+    consumed += 100;
+  }
+  // A source past its deadline no longer holds the region: stop posting
+  // against it.
+  if (!c.failed && c.next_off < c.region_bytes && !VmUsable(c.source)) {
+    c.failed = true;
+  }
+  // Pacing follows the number of running copies; at most one chunk goes
+  // out per pace interval.
+  const uint64_t pace_ns = CopyPaceNs();
+  if (!c.failed && c.next_off < c.region_bytes &&
+      c.qp->outstanding() < kCopyDepth) {
+    const uint64_t len =
+        std::min(options_.migration_chunk_bytes, c.region_bytes - c.next_off);
+    if (c.qp->PostRead(c.next_off, c.dst_mr, c.next_off, c.source.key,
+                       c.next_off, len)
+            .ok()) {
+      // Checksum the source now: the copy is only correct if the source
+      // stays frozen until the read lands.
+      c.inflight.push_back(RegionCopy::Chunk{
+          static_cast<uint32_t>(len),
+          Checksum64(c.src_mr->data() + c.next_off, len)});
+      c.next_off += len;
+      consumed += 200;
+    } else {
+      c.failed = true;
+    }
+  }
+  if ((c.next_off >= c.region_bytes || c.failed) && c.inflight.empty()) {
+    c.driver->Stop();
+    // Finish outside the poller body: `done` may start the next copy.
+    sim_->After(0, [this, id = c.id] {
+      auto it = background_.find(id);
+      if (it == background_.end()) return;  // cancelled meanwhile
+      RegionCopy& copy = *static_cast<RegionCopy*>(it->second.get());
+      ReleaseCopy(copy);
+      CopyDone done = std::move(copy.done);
+      const bool failed = copy.failed;
+      const uint64_t acked_end = copy.acked_end;
+      background_.erase(it);  // destroys the copy and its poller
+      done(failed, acked_end);
+    });
+  }
+  if (consumed == 0) return 50;
+  return pace_ns > consumed ? pace_ns : consumed;
+}
+
+void CacheClient::CancelCopy(uint64_t copy_id) {
+  auto it = background_.find(copy_id);
+  if (it == background_.end()) return;
+  RegionCopy& c = *static_cast<RegionCopy*>(it->second.get());
+  c.driver->Stop();
+  ReleaseCopy(c);
+  background_.erase(it);
+}
+
+void CacheClient::ReleaseCopy(RegionCopy& c) {
+  c.qp->nic()->DestroyQueuePair(c.qp);
+  c.qp = nullptr;
+  REDY_CHECK(copies_active_ > 0);
+  copies_active_--;
+  gauge_copies_active_->Set(static_cast<int64_t>(copies_active_));
+}
+
+uint64_t CacheClient::CopyPaceNs() const {
+  const double rate = kCopyBandwidthBps / copies_active_;
+  return static_cast<uint64_t>(
+      static_cast<double>(options_.migration_chunk_bytes) * 8.0 / rate *
+      1e9);
 }
 
 void CacheClient::OnVmLoss(cluster::VmId vm, sim::SimTime deadline) {
-  // Record the death sentence first: even with auto-recovery off, the
-  // VM must stop counting as a usable copy endpoint at its deadline.
+  // Record the death sentence first: the VM stops counting as a usable
+  // copy endpoint at its deadline, whenever the reaction runs.
   vm_deadlines_[vm] = deadline;
   // Buggify may sit on the notice. The deadline clock above is already
   // running — only the reaction is late, exactly like a control-plane
@@ -988,7 +857,6 @@ void CacheClient::OnVmLoss(cluster::VmId vm, sim::SimTime deadline) {
 }
 
 void CacheClient::HandleVmLoss(cluster::VmId vm, sim::SimTime deadline) {
-  if (!options_.auto_recover) return;
   // Collect first: recovery mutates cache state.
   std::vector<CacheId> affected;
   for (auto& [id, cache] : caches_) {

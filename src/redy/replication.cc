@@ -14,6 +14,21 @@
 
 namespace redy {
 
+namespace {
+
+/// Allocation or copy attempts before a degraded region gives up
+/// repairing (it stays degraded; the next loss retries).
+constexpr uint32_t kRepairMaxAttempts = 8;
+/// Backoff base between repair attempts (doubles per attempt, capped at
+/// 100 ms; the allocator's capacity waitlist also wakes the repair).
+constexpr uint64_t kRepairBackoffNs = 100 * kMicrosecond;
+
+uint64_t RepairBackoffNs(uint32_t attempt) {
+  return std::min<uint64_t>(kRepairBackoffNs << attempt, 100 * kMillisecond);
+}
+
+}  // namespace
+
 Result<CacheClient::CacheId> CacheClient::CreateReplicated(
     uint64_t capacity, const RdmaConfig& cfg, uint32_t record_bytes,
     bool spot) {
@@ -105,13 +120,18 @@ void CacheClient::RepairReplica(CacheEntry* cache, uint32_t vregion) {
   ScheduleRepair(cache->id, vregion, /*attempt=*/0, /*delay_ns=*/0);
 }
 
-void CacheClient::EndRepairSpan(VRegion& vr) {
-  if (vr.repair_span == 0) return;
-  if (telemetry::SpanTracer* tr = ActiveTracer()) {
-    tr->AsyncEnd(RecoveryTrack(*tr), "repair", "recovery", vr.repair_span,
-                 sim_->Now());
+void CacheClient::FinishRepair(CacheEntry* cache, uint32_t vregion) {
+  if (cache != nullptr && cache->regions[vregion].repair_span != 0) {
+    VRegion& vr = cache->regions[vregion];
+    if (telemetry::SpanTracer* tr = ActiveTracer()) {
+      tr->AsyncEnd(RecoveryTrack(*tr), "repair", "recovery", vr.repair_span,
+                   sim_->Now());
+    }
+    vr.repair_span = 0;
   }
-  vr.repair_span = 0;
+  REDY_CHECK(pending_repairs_ > 0);
+  pending_repairs_--;
+  gauge_pending_recoveries_->Set(static_cast<int64_t>(PendingRecoveries()));
 }
 
 void CacheClient::ScheduleRepair(CacheId id, uint32_t vregion,
@@ -136,23 +156,18 @@ void CacheClient::RepairAttempt(CacheId id, uint32_t vregion,
                                 uint32_t attempt) {
   CacheEntry* cache = FindCache(id);
   if (cache == nullptr || cache->deleted) {
-    REDY_CHECK(pending_repairs_ > 0);
-    pending_repairs_--;
-    gauge_pending_recoveries_->Set(static_cast<int64_t>(PendingRecoveries()));
+    FinishRepair(nullptr, vregion);
     return;
   }
   VRegion& vr = cache->regions[vregion];
   if (!vr.repairing || vr.replica.has_value()) {
     // Repaired or re-homed by another path meanwhile.
-    EndRepairSpan(vr);
-    REDY_CHECK(pending_repairs_ > 0);
-    pending_repairs_--;
-    gauge_pending_recoveries_->Set(static_cast<int64_t>(PendingRecoveries()));
+    FinishRepair(cache, vregion);
     return;
   }
   if (vr.migrating) {
     // The region is mid-migration; let that land and try again.
-    ScheduleRepair(id, vregion, attempt, options_.repair_backoff_ns);
+    ScheduleRepair(id, vregion, attempt, kRepairBackoffNs);
     return;
   }
 
@@ -161,20 +176,14 @@ void CacheClient::RepairAttempt(CacheId id, uint32_t vregion,
       cache->region_bytes, cache->cfg, cache->record_bytes, cache->spot,
       node_, cache->region_bytes, 5, &avoid);
   if (!target_or.ok()) {
-    if (attempt + 1 >= options_.repair_max_attempts) {
+    if (attempt + 1 >= kRepairMaxAttempts) {
       REDY_LOG_ERROR("re-replication allocation failed after %u attempts: %s",
                      attempt + 1, target_or.status().ToString().c_str());
       vr.repairing = false;  // stays degraded; retried on next loss
-      EndRepairSpan(vr);
-      REDY_CHECK(pending_repairs_ > 0);
-      pending_repairs_--;
-      gauge_pending_recoveries_->Set(
-          static_cast<int64_t>(PendingRecoveries()));
+      FinishRepair(cache, vregion);
       return;
     }
-    const uint64_t delay = std::min<uint64_t>(
-        options_.repair_backoff_ns << attempt, 100 * kMillisecond);
-    ScheduleRepair(id, vregion, attempt + 1, delay);
+    ScheduleRepair(id, vregion, attempt + 1, RepairBackoffNs(attempt));
     return;
   }
   const CacheManager::RegionPlacement target = target_or->regions[0];
@@ -195,10 +204,7 @@ void CacheClient::RepairAttempt(CacheId id, uint32_t vregion,
         if (cache == nullptr || cache->deleted) {
           (*q)->Stop();
           manager_->ReleaseVm(target.vm_id);
-          REDY_CHECK(pending_repairs_ > 0);
-          pending_repairs_--;
-          gauge_pending_recoveries_->Set(
-              static_cast<int64_t>(PendingRecoveries()));
+          FinishRepair(nullptr, vregion);
           sim_->After(0, [this, bg] { background_.erase(bg); });
           return 0;
         }
@@ -209,16 +215,13 @@ void CacheClient::RepairAttempt(CacheId id, uint32_t vregion,
         (*q)->Stop();
         sim_->After(0, [this, bg] { background_.erase(bg); });
 
-        TransferRegion(
-            vr.placement, target, cache->region_bytes,
-            [this, id, vregion, target, attempt](bool failed) {
+        CopyRegion(
+            id, vr.placement, target, /*start_off=*/0,
+            [this, id, vregion, target, attempt](bool failed, uint64_t) {
               CacheEntry* cache = FindCache(id);
               if (cache == nullptr || cache->deleted) {
                 manager_->ReleaseVm(target.vm_id);
-                REDY_CHECK(pending_repairs_ > 0);
-                pending_repairs_--;
-                gauge_pending_recoveries_->Set(
-                    static_cast<int64_t>(PendingRecoveries()));
+                FinishRepair(nullptr, vregion);
                 return;
               }
               VRegion& vr = cache->regions[vregion];
@@ -227,32 +230,22 @@ void CacheClient::RepairAttempt(CacheId id, uint32_t vregion,
               if (failed) {
                 // Don't leak the fresh VM; retry bounded.
                 manager_->ReleaseVm(target.vm_id);
-                if (attempt + 1 >= options_.repair_max_attempts) {
+                if (attempt + 1 >= kRepairMaxAttempts) {
                   REDY_LOG_ERROR(
                       "re-replication transfer failed after %u attempts",
                       attempt + 1);
                   vr.repairing = false;  // stays degraded
-                  EndRepairSpan(vr);
-                  REDY_CHECK(pending_repairs_ > 0);
-                  pending_repairs_--;
-                  gauge_pending_recoveries_->Set(
-                      static_cast<int64_t>(PendingRecoveries()));
+                  FinishRepair(cache, vregion);
                   return;
                 }
-                const uint64_t delay = std::min<uint64_t>(
-                    options_.repair_backoff_ns << attempt,
-                    100 * kMillisecond);
-                ScheduleRepair(id, vregion, attempt + 1, delay);
+                ScheduleRepair(id, vregion, attempt + 1,
+                               RepairBackoffNs(attempt));
                 return;
               }
               vr.replica = target;
               vr.repairing = false;
               cache->ctr.repairs_completed->Inc();
-              EndRepairSpan(vr);
-              REDY_CHECK(pending_repairs_ > 0);
-              pending_repairs_--;
-              gauge_pending_recoveries_->Set(
-                  static_cast<int64_t>(PendingRecoveries()));
+              FinishRepair(cache, vregion);
               NotifyRecovery("repair");
             });
         return 200;

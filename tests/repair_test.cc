@@ -87,6 +87,105 @@ TEST_F(RepairTest, RepairRestoresReplicasWithAntiAffinity) {
   EXPECT_TRUE(tb.CheckInvariantsNow().empty());
 }
 
+// Repair copies run through the same region copier as migration, so
+// every chunk they land is checksummed and counted.
+TEST_F(RepairTest, RepairCountsEveryVerifiedChunk) {
+  Testbed tb(Opts());
+  auto id_or =
+      tb.client().CreateReplicated(4 * kMiB, RdmaConfig{1, 0, 1, 8}, 64);
+  ASSERT_TRUE(id_or.ok()) << id_or.status().ToString();
+  const auto id = *id_or;
+  tb.client().ResetStats(id);
+
+  auto vm = tb.client().RegionVm(id, 0);
+  ASSERT_TRUE(vm.ok());
+  tb.FailNode(tb.allocator().Find(*vm)->server);
+  ASSERT_TRUE(RunUntil(tb, [&] {
+    return AllReplicated(tb, id, 2) &&
+           tb.client().PendingRecoveries() == 0;
+  }));
+
+  const auto* stats = tb.client().stats(id);
+  ASSERT_GE(stats->repairs_completed, 1u);
+  EXPECT_EQ(stats->repairs_completed, stats->repairs_started);
+  EXPECT_TRUE(tb.client().migrations().empty());
+  const uint64_t chunks_per_region =
+      Opts().client.region_bytes / Opts().client.migration_chunk_bytes;
+  EXPECT_EQ(stats->chunks_verified,
+            stats->repairs_completed * chunks_per_region);
+  EXPECT_EQ(stats->checksum_mismatches, 0u);
+}
+
+// A repair copies out of the surviving primary. When that VM is
+// reclaimed and its deadline passes mid-copy, its memory no longer
+// counts as the region: the copy fails, the fresh target goes back to
+// the allocator, and the same repair job retries with a new target.
+TEST_F(RepairTest, RepairFailsWhenSourceDeadlinePassesMidCopy) {
+  TestbedOptions o = Opts();
+  o.reclaim_notice = 1 * kMillisecond;  // the copy needs ~2 ms
+  Testbed tb(o);
+  tb.EnableInvariantChecks();
+  auto id_or = tb.client().CreateReplicated(2 * kMiB, RdmaConfig{1, 0, 1, 8},
+                                            64, /*spot=*/true);
+  ASSERT_TRUE(id_or.ok()) << id_or.status().ToString();
+  const auto id = *id_or;
+
+  auto all_vms = [&] {
+    std::vector<cluster::VmId> vms;
+    for (int s = 0; s < tb.allocator().num_servers(); s++) {
+      for (cluster::VmId v :
+           tb.allocator().VmsOn(static_cast<net::ServerId>(s))) {
+        vms.push_back(v);
+      }
+    }
+    return vms;
+  };
+
+  // Lose the primary: the replica takes over and the repair starts
+  // copying out of it into a freshly allocated target.
+  auto old_primary = tb.client().RegionVm(id, 0);
+  ASSERT_TRUE(old_primary.ok());
+  tb.FailNode(tb.allocator().Find(*old_primary)->server);
+  auto source = tb.client().RegionVm(id, 0);
+  ASSERT_TRUE(source.ok());
+  ASSERT_NE(*source, *old_primary);
+  tb.sim().RunFor(600 * kMicrosecond);
+  auto stats = [&] { return tb.client().stats(id); };
+  ASSERT_EQ(stats()->repairs_started, 1u);
+  ASSERT_EQ(
+      tb.telemetry().metrics().GetGauge("redy.recovery.copies_active")->Value(),
+      1);
+  ASSERT_FALSE(AllReplicated(tb, id, 1));
+  cluster::VmId first_target = cluster::kInvalidVm;
+  for (cluster::VmId v : all_vms()) {
+    if (v != *source) first_target = v;
+  }
+  ASSERT_NE(first_target, cluster::kInvalidVm);
+
+  // Reclaim the source; its deadline lands before the copy can finish.
+  // The copy stops at its first poll past the deadline and hands the
+  // target back without completing the repair.
+  ASSERT_TRUE(tb.allocator().Reclaim(*source).ok());
+  const sim::SimTime deadline = tb.sim().Now() + o.reclaim_notice;
+  ASSERT_TRUE(RunUntil(
+      tb, [&] { return tb.allocator().Find(first_target) == nullptr; }));
+  EXPECT_GE(tb.sim().Now(), deadline);
+  EXPECT_EQ(stats()->repairs_completed, 0u);
+
+  // The same job retries (bounded attempts) against the region's new
+  // home and restores the replica; nothing leaks.
+  ASSERT_TRUE(RunUntil(tb, [&] {
+    return AllReplicated(tb, id, 1) &&
+           tb.client().PendingRecoveries() == 0;
+  }));
+  EXPECT_EQ(stats()->repairs_started, 1u);
+  EXPECT_EQ(stats()->repairs_completed, 1u);
+  EXPECT_EQ(all_vms().size(), 2u);
+  EXPECT_TRUE(tb.invariant_violations().empty())
+      << tb.invariant_violations()[0];
+  EXPECT_TRUE(tb.CheckInvariantsNow().empty());
+}
+
 class RepairCapacityTest : public RepairTest {
  protected:
   /// A four-server cluster (app node + three) where every server fits

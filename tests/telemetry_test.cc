@@ -13,6 +13,7 @@
 #include <new>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "chaos/fault_injector.h"
@@ -444,6 +445,87 @@ TEST(TelemetryStatsTest, ResetStatsRebasesWithoutLosingIncrements) {
   EXPECT_EQ(stats->writes_completed, 5u);
   EXPECT_EQ(stats->write_latency_ns.count(), 5u);
   EXPECT_EQ(lifetime->Value(), 15u);
+}
+
+// Every per-cache registry counter feeds exactly its own Stats field:
+// bump each by a distinct amount and read them all back, before and
+// after a ResetStats.
+TEST(TelemetryStatsTest, EveryCacheCounterReachesItsStatsField) {
+  using S = CacheClient::Stats;
+  const std::vector<std::pair<const char*, uint64_t S::*>> wiring = {
+      {"redy.client.reads_completed", &S::reads_completed},
+      {"redy.client.writes_completed", &S::writes_completed},
+      {"redy.client.read_bytes", &S::read_bytes},
+      {"redy.client.write_bytes", &S::write_bytes},
+      {"redy.client.errors", &S::errors},
+      {"redy.client.one_sided_ops", &S::one_sided_ops},
+      {"redy.client.batched_ops", &S::batched_ops},
+      {"redy.client.parked_ops", &S::parked_ops},
+      {"redy.client.retries", &S::retries},
+      {"redy.client.timeouts", &S::timeouts},
+      {"redy.client.reconnects", &S::reconnects},
+      {"redy.client.hedged_to_replica", &S::hedged_to_replica},
+      {"redy.recovery.migration_resumes", &S::migration_resumes},
+      {"redy.recovery.migration_retargets", &S::migration_retargets},
+      {"redy.recovery.repairs_started", &S::repairs_started},
+      {"redy.recovery.repairs_completed", &S::repairs_completed},
+      {"redy.recovery.storm_regions_lost", &S::storm_regions_lost},
+      {"fence.revocations", &S::fence_revocations},
+      {"fence.stale_rejected", &S::fence_stale_rejected},
+      {"fence.redirects", &S::fence_redirects},
+      {"fence.lease_renewals", &S::lease_renewals},
+      {"fence.lease_expirations", &S::lease_expirations},
+      {"integrity.checksum_mismatches", &S::checksum_mismatches},
+      {"integrity.chunks_verified", &S::chunks_verified},
+      {"overload.admission_rejected", &S::admission_rejected},
+      {"overload.shed_ops", &S::shed_ops},
+      {"overload.shed_bytes", &S::shed_bytes},
+      {"overload.busy_pushbacks", &S::busy_pushbacks},
+      {"overload.retry_budget_exhausted", &S::retry_budget_exhausted},
+      {"overload.hedge_budget_exhausted", &S::hedge_budget_exhausted},
+      {"overload.hedge_suppressed", &S::hedge_suppressed},
+      {"overload.breaker_trips", &S::breaker_trips},
+      {"overload.breaker_probes", &S::breaker_probes},
+      {"overload.brownout_trips", &S::brownout_trips},
+      {"redy.client.indirect_reads", &S::indirect_reads},
+      {"redy.client.chained_reads", &S::chained_reads},
+      {"redy.client.chain_fallbacks", &S::chain_fallbacks},
+  };
+  Testbed tb;
+  auto id_or = tb.client().CreateWithConfig(8 * kMiB, RdmaConfig{1, 0, 1, 8},
+                                            64);
+  ASSERT_TRUE(id_or.ok());
+  const std::string label = std::to_string(*id_or);
+
+  // The list above covers every counter the cache registered.
+  const std::string json = tb.telemetry().metrics().ToJson();
+  const std::string tag =
+      "\"labels\":{\"cache\":\"" + label + "\"},\"type\":\"counter\"";
+  size_t registered = 0;
+  for (size_t at = json.find(tag); at != std::string::npos;
+       at = json.find(tag, at + 1)) {
+    registered++;
+  }
+  EXPECT_EQ(registered, wiring.size());
+
+  auto bump_and_check = [&](uint64_t base) {
+    for (size_t i = 0; i < wiring.size(); i++) {
+      tb.telemetry()
+          .metrics()
+          .GetCounter(wiring[i].first, {{"cache", label}})
+          ->Inc(base + i);
+    }
+    const S* stats = tb.client().stats(*id_or);
+    for (size_t i = 0; i < wiring.size(); i++) {
+      EXPECT_EQ(stats->*wiring[i].second, base + i) << wiring[i].first;
+    }
+  };
+  bump_and_check(1);
+  tb.client().ResetStats(*id_or);
+  for (const auto& [name, field] : wiring) {
+    EXPECT_EQ(tb.client().stats(*id_or)->*field, 0u) << name;
+  }
+  bump_and_check(100);
 }
 
 // ---------------------------------------------------------------------------
