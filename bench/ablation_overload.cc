@@ -110,21 +110,7 @@ TestbedOptions Opts(bool budgets) {
   o.client.sub_op_timeout_ns = 150 * kMicrosecond;
   o.client.retry_backoff_ns = 5 * kMicrosecond;
   o.client.retry_backoff_max_ns = 200 * kMicrosecond;
-  if (budgets) {
-    o.client.retry_budget_fraction = 0.2;
-    o.client.hedge_budget_fraction = 0.1;
-    o.client.budget_min_reserve = 10.0;
-    o.client.circuit_breakers = true;
-    o.client.breaker_trip_failures = 6;
-    o.client.breaker_open_ns = 100 * kMicrosecond;
-    o.client.credit_flow = true;
-    o.client.brownout = true;
-    o.client.brownout_trip_signals = 24;
-    o.client.brownout_window_ns = 100 * kMicrosecond;
-    o.client.brownout_duration_ns = 100 * kMicrosecond;
-    o.server_overload.busy_pushback = true;
-    o.server_overload.credit_flow = true;
-  }
+  o.client.govern_overload = budgets;
   return o;
 }
 

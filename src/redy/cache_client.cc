@@ -26,6 +26,19 @@ constexpr uint32_t kUnhealthyAfter = 2;
 /// kBusy retries back off this much longer than transport-fault
 /// retries (the server asked for air, not for a fast retry).
 constexpr uint64_t kBusyBackoffMultiplier = 4;
+/// Capacity of each client thread's batch ring (requests).
+constexpr uint32_t kBatchRingCapacity = 1 << 14;
+/// Lease TTL of two-sided configurations (DESIGN.md §7).
+constexpr uint64_t kLeaseTtlNs = 1 * kMillisecond;
+// Overload governance, when Options::govern_overload is on (DESIGN.md §12).
+constexpr double kRetryBudgetFraction = 0.2;  // of fresh sub-op traffic
+constexpr double kHedgeBudgetFraction = 0.1;
+constexpr double kBudgetMinReserve = 10.0;    // whole retries (or hedges)
+constexpr uint32_t kBreakerTripFailures = 6;  // consecutive, per VM
+constexpr uint64_t kBreakerOpenNs = 100 * kMicrosecond;
+constexpr uint64_t kBrownoutTripSignals = 24;  // timeouts + kBusy
+constexpr uint64_t kBrownoutWindowNs = 100 * kMicrosecond;
+constexpr uint64_t kBrownoutDurationNs = 100 * kMicrosecond;
 
 }  // namespace
 
@@ -48,10 +61,10 @@ CacheClient::CacheClient(sim::Simulation* sim, rdma::Fabric* fabric,
       tel_->metrics().GetGauge("redy.recovery.copies_active");
   gauge_pending_recoveries_ =
       tel_->metrics().GetGauge("redy.recovery.pending");
-  retry_budget_.Configure(options_.retry_budget_fraction,
-                          options_.budget_min_reserve);
-  hedge_budget_.Configure(options_.hedge_budget_fraction,
-                          options_.budget_min_reserve);
+  if (options_.govern_overload) {
+    retry_budget_.Configure(kRetryBudgetFraction, kBudgetMinReserve);
+    hedge_budget_.Configure(kHedgeBudgetFraction, kBudgetMinReserve);
+  }
   breakers_.Reserve(64);
   manager_->SetVmLossHandler(
       [this](cluster::VmId vm, sim::SimTime deadline) {
@@ -158,7 +171,7 @@ void CacheClient::StartThreads(CacheEntry* cache) {
     thread->index = t;
     thread->cache = cache;
     thread->ring = std::make_unique<ringbuf::SpscRing<SubOp>>(
-        options_.batch_ring_capacity);
+        kBatchRingCapacity);
     thread->rng = Rng(0xC11E47 ^ (cache->id << 8) ^ t);
     ClientThread* thread_ptr = thread.get();
     thread->poller = std::make_unique<sim::Poller>(
@@ -303,7 +316,7 @@ Status CacheClient::Submit(CacheId id, OpCode op, uint64_t addr, void* dst,
   }
   // Brownout: under sustained overload the lowest-priority tenants are
   // shed at the front door, before any remote work — byte-exact.
-  if (options_.brownout && BrownoutSheds(cache->priority)) {
+  if (options_.govern_overload && BrownoutSheds(cache->priority)) {
     cache->ctr.shed_ops->Inc();
     cache->ctr.shed_bytes->Inc(size);
     return Status::Unavailable("brownout: low-priority traffic shed");
@@ -674,7 +687,7 @@ uint64_t CacheClient::DrainResponses(CacheEntry& cache, ClientThread& thread,
     // Credit grant (DESIGN.md §12): the server sizes our send window to
     // its current backlog. 0 carries no grant (legacy servers); the
     // kDropCreditGrant buggify point models a grant lost in transit.
-    if (options_.credit_flow && hdr.credits != 0 &&
+    if (options_.govern_overload && hdr.credits != 0 &&
         !BuggifyFires(options_.buggify,
                       static_cast<uint32_t>(
                           chaos::BuggifyPoint::kDropCreditGrant))) {
@@ -740,10 +753,10 @@ uint64_t CacheClient::DrainResponses(CacheEntry& cache, ClientThread& thread,
         st = entry_st;
       }
       VRegion& op_vr = cache.regions[op.vregion];
-      if (st.ok() && !op.to_replica && options_.lease_ttl_ns > 0) {
+      if (st.ok() && !op.to_replica) {
         // Piggybacked renewal: a healthy two-sided response proves the
         // placement is still serving this client under this epoch.
-        op_vr.lease_expires_at = sim_->Now() + options_.lease_ttl_ns;
+        op_vr.lease_expires_at = sim_->Now() + kLeaseTtlNs;
       }
       if (op.op == OpCode::kLease) {
         // Header-only control op: no OpState to complete.
@@ -833,8 +846,8 @@ uint64_t CacheClient::DrainSubmissions(CacheEntry& cache,
     // against a region whose lease lapsed is deferred until a renewal
     // round trip confirms no revocation was missed. Bounded: past the
     // deferral budget the write fails with ProtectionError.
-    if (options_.epoch_fencing && options_.lease_ttl_ns > 0 &&
-        cache.cfg.s > 0 && op.op == OpCode::kWrite && !op.to_replica &&
+    if (options_.epoch_fencing && cache.cfg.s > 0 &&
+        op.op == OpCode::kWrite && !op.to_replica &&
         op.len <= cache.record_bytes && vr.lease_expires_at != 0 &&
         sim_->Now() >= vr.lease_expires_at) {
       if (!vr.lease_pending) RequestLease(cache, thread, op.vregion);
@@ -877,7 +890,7 @@ uint64_t CacheClient::DrainSubmissions(CacheEntry& cache,
     // (primary writes, replica twins) sheds with Unavailable, which is
     // never acked, so a half-shed replicated write surfaces as an error
     // instead of silently diverging the copies.
-    if (options_.circuit_breakers) {
+    if (options_.govern_overload) {
       const cluster::VmId target_vm =
           op.to_replica ? vr.replica->vm_id : vr.placement.vm_id;
       if (!BreakerAllows(cache, target_vm)) {
@@ -1112,7 +1125,7 @@ uint64_t CacheClient::Flush(CacheEntry& cache, ClientThread& thread,
   // Credit flow shrinks the effective window below q when the server
   // granted fewer credits (clamped to [1, q] so progress never stops).
   const uint32_t window =
-      options_.credit_flow && conn.send_window != 0
+      options_.govern_overload && conn.send_window != 0
           ? std::min(cache.cfg.q, std::max(1u, conn.send_window))
           : cache.cfg.q;
   if (conn.inflight_batches >= window ||
@@ -1604,21 +1617,21 @@ Status CacheClient::SetTenantQuota(CacheId id, double ops_per_sec,
 }
 
 void CacheClient::NoteOverloadSignal(CacheEntry& cache, uint64_t count) {
-  if (!options_.brownout) return;
+  if (!options_.govern_overload) return;
   const sim::SimTime now = sim_->Now();
-  if (now - brownout_.window_start > options_.brownout_window_ns) {
+  if (now - brownout_.window_start > kBrownoutWindowNs) {
     brownout_.window_start = now;
     brownout_.signals = 0;
   }
   brownout_.signals += count;
-  if (brownout_.signals < options_.brownout_trip_signals) return;
+  if (brownout_.signals < kBrownoutTripSignals) return;
   brownout_.signals = 0;
   brownout_.window_start = now;
   // Tripping again while a shedding window is already active means the
   // current level is not enough: escalate to the next priority class.
   brownout_.level =
       now < brownout_.until ? std::min(brownout_.level + 1, 2u) : 1;
-  brownout_.until = now + options_.brownout_duration_ns;
+  brownout_.until = now + kBrownoutDurationNs;
   cache.ctr.brownout_trips->Inc();
   if (telemetry::SpanTracer* tr = ActiveTracer()) {
     tr->Instant(CacheTrack(cache, *tr), "brownout_trip", "op", now,
@@ -1634,7 +1647,7 @@ bool CacheClient::BrownoutSheds(uint8_t priority) const {
 }
 
 bool CacheClient::BreakerAllows(CacheEntry& cache, cluster::VmId vm) {
-  if (!options_.circuit_breakers) return true;
+  if (!options_.govern_overload) return true;
   overload::CircuitBreaker* b = breakers_.Find(vm);
   if (b == nullptr) return true;  // no failure history: closed
   const bool was_open = b->state == overload::CircuitBreaker::kOpen;
@@ -1648,15 +1661,14 @@ bool CacheClient::BreakerAllows(CacheEntry& cache, cluster::VmId vm) {
 
 void CacheClient::RecordBreakerResult(CacheEntry& cache, cluster::VmId vm,
                                       bool success) {
-  if (!options_.circuit_breakers || vm == cluster::kInvalidVm) return;
+  if (!options_.govern_overload || vm == cluster::kInvalidVm) return;
   if (success) {
     overload::CircuitBreaker* b = breakers_.Find(vm);
     if (b != nullptr) b->RecordSuccess();
     return;
   }
   overload::CircuitBreaker& b = breakers_[vm];
-  if (b.RecordFailure(sim_->Now(), options_.breaker_trip_failures,
-                      options_.breaker_open_ns)) {
+  if (b.RecordFailure(sim_->Now(), kBreakerTripFailures, kBreakerOpenNs)) {
     cache.ctr.breaker_trips->Inc();
     if (telemetry::SpanTracer* tr = ActiveTracer()) {
       tr->Instant(CacheTrack(cache, *tr), "breaker_trip", "op", sim_->Now(),

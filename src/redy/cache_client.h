@@ -54,8 +54,6 @@ class CacheClient {
     /// Physical region size (1 GB in the paper; smaller by default here
     /// so simulations stay light — regions are real memory).
     uint64_t region_bytes = 64 * kMiB;
-    /// Capacity of each client thread's batch ring (requests).
-    uint32_t batch_ring_capacity = 1 << 14;
     /// Cap on regions per cache VM (0 = unlimited). A nonzero cap makes
     /// region fan-out across VMs deterministic and bounds how many
     /// regions one VM loss takes down.
@@ -96,37 +94,11 @@ class CacheClient {
     // kBusy retries back off 4x longer than transport-fault retries.
 
     // --- Overload resilience (DESIGN.md §12) ---
-    /// Global retry budget: retries are capped at this fraction of
-    /// fresh sub-op traffic (Finagle-style deposit/withdraw), so a
-    /// latency blip cannot metastasize into a retry storm. 0 =
-    /// unbudgeted (the historical behavior). Fence redirects are
-    /// exempt: they are the designed migration cutover path.
-    double retry_budget_fraction = 0.0;
-    /// Same cap for hedged reads to replicas (health diversions and
-    /// retry hedges). 0 = unbudgeted.
-    double hedge_budget_fraction = 0.0;
-    /// Startup allowance (and balance floor) of both budgets, in whole
-    /// retries — a cold client can still retry its first failures.
-    double budget_min_reserve = 10.0;
-    /// Per-VM circuit breakers: consecutive transport failures trip a
-    /// VM open for `breaker_open_ns`; while open, reads divert to a
-    /// healthy replica and other work sheds with Unavailable, then a
-    /// single half-open probe decides recovery.
-    bool circuit_breakers = false;
-    uint32_t breaker_trip_failures = 4;
-    uint64_t breaker_open_ns = 200 * kMicrosecond;
-    /// Honor server credit grants (response batch headers) by shrinking
-    /// the per-connection send window below q.
-    bool credit_flow = false;
-    /// Graceful brownout: sustained overload signals (kBusy pushback,
-    /// sub-op timeouts) within `brownout_window_ns` trip a shedding
-    /// window of `brownout_duration_ns` in which the lowest-priority
-    /// tenants' submissions are rejected up front (byte-exact shed
-    /// accounting); repeated trips escalate to shed priority >= 1.
-    bool brownout = false;
-    uint32_t brownout_trip_signals = 8;
-    uint64_t brownout_window_ns = 100 * kMicrosecond;
-    uint64_t brownout_duration_ns = 200 * kMicrosecond;
+    /// Govern overload end to end, with fixed tuning (DESIGN.md §12):
+    /// retry/hedge budgets, per-VM circuit breakers, brownout and
+    /// honored credit grants here, kBusy pushback and credit grants on
+    /// the cache servers (the Testbed/LoopbackRig manager sets those).
+    bool govern_overload = false;
 
     // --- Fencing & integrity (DESIGN.md §7) ---
     /// Epoch-fence remote access: revoke a region's rkeys at migration
@@ -136,14 +108,9 @@ class CacheClient {
     /// stale keys then stay valid forever and a zombie write can land
     /// on a migrated (reassignable) region silently.
     bool epoch_fencing = true;
-    // End-to-end payload and copy-chunk checksums are always verified.
-    /// Lease TTL for two-sided configurations (s > 0). A write against
-    /// a region whose lease lapsed is deferred until a renewal round
-    /// trip confirms the client hasn't missed a revocation. Renewal
-    /// piggybacks on every successful two-sided response. 0 disables
-    /// lease gating (the NIC/server epoch check remains the hard
-    /// fence).
-    uint64_t lease_ttl_ns = 1 * kMillisecond;
+    // End-to-end payload and copy-chunk checksums are always verified;
+    // two-sided writes are lease-gated with a fixed 1 ms TTL.
+
     // --- NIC-offloaded op chains (DESIGN.md §15) ---
     /// Issue indirect (pointer-chase) reads as ONE chained doorbell
     /// (rdma::QueuePair::PostChain): the responder NIC resolves the
@@ -727,7 +694,8 @@ class CacheClient {
   // --- overload resilience (DESIGN.md §12) ---
   /// Records one overload signal (kBusy pushback or sub-op timeout)
   /// and trips/escalates the brownout shedding window when enough
-  /// signals land within options_.brownout_window_ns.
+  /// signals land within one brownout window (no-op when overload
+  /// governance is off).
   void NoteOverloadSignal(CacheEntry& cache, uint64_t count = 1);
   /// Whether the active brownout level sheds this priority class
   /// (level 1 sheds >= 2, level 2 sheds >= 1; priority 0 never sheds).

@@ -192,7 +192,7 @@ Result<CacheManager::Allocation> CacheManager::AllocateWithConfig(
     (void)memory_only;
 
     auto server = std::make_unique<CacheServer>(sim_, fabric_, *vm_or, costs_);
-    server->SetOverloadPolicy(server_overload_);
+    server->set_govern_overload(govern_overload_);
     auto keys_or = server->AllocateRegions(vm_regions, region_bytes);
     if (!keys_or.ok()) {
       allocator_->Free(vm_or->id);

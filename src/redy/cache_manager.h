@@ -113,14 +113,12 @@ class CacheManager {
     loss_handler_ = std::move(handler);
   }
 
-  /// Overload policy installed on every cache server this manager
-  /// boots (and, immediately, on the ones already running).
-  void SetServerOverloadPolicy(const CacheServer::OverloadPolicy& policy) {
-    server_overload_ = policy;
-    for (auto& [vm, server] : servers_) server->SetOverloadPolicy(policy);
-  }
-  const CacheServer::OverloadPolicy& server_overload_policy() const {
-    return server_overload_;
+  /// Overload governance (CacheServer::set_govern_overload) for every
+  /// cache server this manager boots and, immediately, the ones
+  /// already running.
+  void SetGovernOverload(bool on) {
+    govern_overload_ = on;
+    for (auto& [vm, server] : servers_) server->set_govern_overload(on);
   }
 
   CacheServer* ServerFor(cluster::VmId vm) const;
@@ -142,7 +140,7 @@ class CacheManager {
   std::vector<cluster::VmType> menu_;
   std::map<std::pair<uint32_t, int>, PerfModel> models_;
   std::unordered_map<cluster::VmId, std::unique_ptr<CacheServer>> servers_;
-  CacheServer::OverloadPolicy server_overload_;
+  bool govern_overload_ = false;
   VmLossHandler loss_handler_;
 };
 

@@ -7,6 +7,16 @@
 
 namespace redy {
 
+namespace {
+
+// Ready batches across a poll thread's connections at/above which a
+// governed server sheds priority >= 2 and halves its credit grant
+// (low), then also sheds priority >= 1 and grants 1 (high).
+constexpr uint32_t kShedLowWatermark = 2;
+constexpr uint32_t kShedHighWatermark = 4;
+
+}  // namespace
+
 CacheServer::CacheServer(sim::Simulation* sim, rdma::Fabric* fabric,
                          const cluster::Vm& vm, const CostModel& costs)
     : sim_(sim),
@@ -142,7 +152,7 @@ uint64_t CacheServer::PollConnections(uint32_t thread_index) {
   // Ready backlog across the thread's connections: sizes the credit
   // grants and the shed decision for every batch this sweep consumes.
   uint32_t backlog = 0;
-  if (policy_.credit_flow || policy_.busy_pushback) {
+  if (govern_overload_) {
     for (uint32_t k = 0; k < owned; k++) {
       if (BatchReady(*connections_[thread_index + k * s])) backlog++;
     }
@@ -198,9 +208,9 @@ void CacheServer::WakeThread(uint32_t conn_index) {
 
 uint32_t CacheServer::GrantCredits(uint32_t backlog) const {
   const uint32_t q = cfg_.q == 0 ? 1 : cfg_.q;
-  if (!policy_.credit_flow) return 0;  // no grant carried
-  if (backlog >= policy_.shed_high_watermark) return 1;
-  if (backlog >= policy_.shed_low_watermark) return std::max(q / 2, 1u);
+  if (!govern_overload_) return 0;  // no grant carried
+  if (backlog >= kShedHighWatermark) return 1;
+  if (backlog >= kShedLowWatermark) return std::max(q / 2, 1u);
   return q;
 }
 
@@ -237,7 +247,7 @@ uint64_t CacheServer::ProcessBatch(Connection& conn, uint32_t backlog,
   // bounds checks; a malformed batch falls through to the hardened main
   // loop rather than being shed.
   bool shed = false;
-  if (policy_.busy_pushback && backlog >= policy_.shed_low_watermark &&
+  if (govern_overload_ && backlog >= kShedLowWatermark &&
       hdr.bytes >= sizeof(BatchHeader) &&
       hdr.bytes <= conn.request_slot_bytes) {
     const uint8_t* walk = base + sizeof(BatchHeader);
@@ -265,7 +275,7 @@ uint64_t CacheServer::ProcessBatch(Connection& conn, uint32_t backlog,
     }
     if (walk_ok && !has_lease) {
       shed = (priority >= 2) ||
-             (priority >= 1 && backlog >= policy_.shed_high_watermark);
+             (priority >= 1 && backlog >= kShedHighWatermark);
     }
   }
 

@@ -41,27 +41,6 @@ class CacheServer {
     uint32_t conn_index = 0;
   };
 
-  /// Overload-resilience policy (DESIGN.md §12). Defaults reproduce the
-  /// historical behavior: no credit grants, no pushback — a backlogged
-  /// server just queues until the rings fill and clients time out.
-  struct OverloadPolicy {
-    /// Grant send-window credits in response batch headers: the deeper
-    /// the server's ready backlog, the smaller the window, throttling
-    /// clients *before* they have staged work the server will discard.
-    bool credit_flow = false;
-    /// Shed request batches with per-op kBusy responses (no execution,
-    /// no payload movement) once the ready backlog crosses the
-    /// watermarks, lowest tenant priority first. Batches carrying lease
-    /// control ops are never shed.
-    bool busy_pushback = false;
-    /// Ready batches (across a poll thread's connections) at/above
-    /// which priority >= 2 traffic is shed and credits halve.
-    uint32_t shed_low_watermark = 2;
-    /// Ready backlog at/above which priority >= 1 is also shed and the
-    /// credit window drops to 1. Priority 0 is never shed server-side.
-    uint32_t shed_high_watermark = 4;
-  };
-
   CacheServer(sim::Simulation* sim, rdma::Fabric* fabric,
               const cluster::Vm& vm, const CostModel& costs);
   virtual ~CacheServer();
@@ -98,19 +77,24 @@ class CacheServer {
   /// Stops threads and invalidates regions (VM teardown).
   void Shutdown();
 
-  /// Installs the overload policy (applies to batches processed from
-  /// now on; safe to call while running).
-  void SetOverloadPolicy(const OverloadPolicy& policy) { policy_ = policy; }
-  const OverloadPolicy& overload_policy() const { return policy_; }
+  /// Overload governance (DESIGN.md §12): past fixed ready-backlog
+  /// watermarks, shed batches with per-op kBusy (lowest priority first,
+  /// never lease-carrying ones) and shrink the credit grants in
+  /// response headers. Off (the default), a backlogged server queues
+  /// until the rings fill and clients time out.
+  void set_govern_overload(bool on) { govern_overload_ = on; }
 
   rdma::Nic* nic() const { return nic_; }
   const cluster::Vm& vm() const { return vm_; }
   net::ServerId node() const { return vm_.server; }
   uint32_t num_regions() const { return static_cast<uint32_t>(regions_.size()); }
-  /// The backing memory of region `i`. A remote proxy returns nullptr
-  /// (no shared address space); callers off the data path (Poke/Peek,
-  /// bulk population) must tolerate that.
-  virtual rdma::MemoryRegion* region(uint32_t i) const { return regions_[i]; }
+  /// The backing memory of region `i`, or nullptr when `i` is out of
+  /// range (a shut-down agent holds no regions). A remote proxy always
+  /// returns nullptr (no shared address space); callers off the data
+  /// path (Poke/Peek, bulk population, revocation) must tolerate that.
+  virtual rdma::MemoryRegion* region(uint32_t i) const {
+    return i < regions_.size() ? regions_[i] : nullptr;
+  }
   uint64_t batches_processed() const { return batches_processed_; }
   /// Overload-pushback introspection (telemetry/benches).
   uint64_t busy_shed_batches() const { return busy_shed_batches_; }
@@ -172,7 +156,7 @@ class CacheServer {
   /// quantum in turn instead of the first-listed tenant monopolizing
   /// the sweep (per-tenant fair queueing, DESIGN.md §12).
   std::vector<uint32_t> rr_cursors_;
-  OverloadPolicy policy_;
+  bool govern_overload_ = false;
   uint64_t batches_processed_ = 0;
   uint64_t busy_shed_batches_ = 0;
   uint64_t busy_shed_ops_ = 0;

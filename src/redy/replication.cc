@@ -217,7 +217,8 @@ void CacheClient::RepairAttempt(CacheId id, uint32_t vregion,
 
         CopyRegion(
             id, vr.placement, target, /*start_off=*/0,
-            [this, id, vregion, target, attempt](bool failed, uint64_t) {
+            [this, id, vregion, target, attempt,
+             source_vm = vr.placement.vm_id](bool failed, uint64_t) {
               CacheEntry* cache = FindCache(id);
               if (cache == nullptr || cache->deleted) {
                 manager_->ReleaseVm(target.vm_id);
@@ -225,6 +226,16 @@ void CacheClient::RepairAttempt(CacheId id, uint32_t vregion,
                 return;
               }
               VRegion& vr = cache->regions[vregion];
+              if (vr.migrating || vr.placement.vm_id != source_vm) {
+                // A migration took the region over mid-copy: it owns the
+                // write pause now, and the bytes copied here miss every
+                // write landed after its swap. Drop the copy and repair
+                // again once the region settles (RepairAttempt waits
+                // out a running migration).
+                manager_->ReleaseVm(target.vm_id);
+                ScheduleRepair(id, vregion, attempt, kRepairBackoffNs);
+                return;
+              }
               vr.writes_paused = false;
               ReplayParked(*cache, vregion);
               if (failed) {

@@ -17,7 +17,7 @@ Testbed::Testbed(TestbedOptions options) : options_(options) {
       options_.memory_per_server, options_.reclaim_notice);
   manager_ = std::make_unique<CacheManager>(&sim_, fabric_.get(),
                                             allocator_.get(), options_.costs);
-  manager_->SetServerOverloadPolicy(options_.server_overload);
+  manager_->SetGovernOverload(options_.client.govern_overload);
   options_.client.costs = options_.costs;
   options_.client.telemetry = telemetry_.get();
   client_ = std::make_unique<CacheClient>(&sim_, fabric_.get(),

@@ -35,10 +35,9 @@ struct TestbedOptions {
   sim::SimTime reclaim_notice = 30 * kSecond;
   net::FabricParams fabric;
   CostModel costs;
+  /// Client options; `client.govern_overload` also governs every
+  /// cache server the manager boots.
   CacheClient::Options client;
-  /// Overload policy installed on every cache server the manager boots
-  /// (credit flow, kBusy pushback — DESIGN.md §12). Defaults off.
-  CacheServer::OverloadPolicy server_overload;
 };
 
 class Testbed {

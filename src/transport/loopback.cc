@@ -26,6 +26,7 @@ LoopbackRig::LoopbackRig(LoopbackRigOptions options)
     manager_ = std::make_unique<CacheManager>(&sim_, fabric_.get(),
                                               allocator_.get(),
                                               options_.costs);
+    manager_->SetGovernOverload(options_.client.govern_overload);
     options_.client.costs = options_.costs;
     options_.client.telemetry = telemetry_.get();
     client_ = std::make_unique<CacheClient>(&sim_, fabric_.get(),
@@ -38,14 +39,19 @@ LoopbackRig::LoopbackRig(LoopbackRigOptions options)
 LoopbackRig::~LoopbackRig() {
   // Teardown order matters: first silence the transport (workers stop
   // producing frames and mailbox posts), then halt the loop, then
-  // destroy the stack with no concurrency left anywhere.
+  // destroy the stack with no concurrency left anywhere, on the halted
+  // loop thread that built it: freed there, its memory returns to that
+  // thread's malloc arena instead of parking in the caller's thread
+  // cache, where it pinned the arena and made the next rig's set-up
+  // time swing 2x with unrelated object sizes.
   fabric_->ShutdownTransport();
-  driver_->Stop();
-  client_.reset();
-  manager_.reset();
-  allocator_.reset();
-  fabric_.reset();
-  telemetry_.reset();
+  driver_->Stop([this] {
+    client_.reset();
+    manager_.reset();
+    allocator_.reset();
+    fabric_.reset();
+    telemetry_.reset();
+  });
   driver_.reset();
 }
 

@@ -42,8 +42,12 @@ void WallClockDriver::Start() {
   loop_id_ = thread_.get_id();
 }
 
-void WallClockDriver::Stop() {
-  if (!thread_.joinable()) return;
+void WallClockDriver::Stop(sim::Simulation::Callback on_exit) {
+  if (!thread_.joinable()) {
+    if (on_exit) on_exit();
+    return;
+  }
+  on_exit_ = std::move(on_exit);
   stop_.store(true, std::memory_order_release);
   RingDoorbell();
   thread_.join();
@@ -110,6 +114,7 @@ void WallClockDriver::Loop() {
       wakeups_.fetch_add(1, std::memory_order_relaxed);
     }
   }
+  if (on_exit_) on_exit_();
 }
 
 }  // namespace redy::transport

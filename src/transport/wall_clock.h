@@ -48,9 +48,10 @@ class WallClockDriver {
   /// start firing against the wall clock immediately.
   void Start();
 
-  /// Signals the loop, drains the mailbox one last time, and joins.
-  /// Idempotent.
-  void Stop();
+  /// Signals the loop, drains the mailbox one last time, runs `on_exit`
+  /// on the halted loop thread, and joins. Idempotent (`on_exit` then
+  /// runs on the caller).
+  void Stop(sim::Simulation::Callback on_exit = {});
 
   bool running() const { return thread_.joinable(); }
 
@@ -132,6 +133,7 @@ class WallClockDriver {
   std::thread::id loop_id_;
   std::mutex mu_;
   std::vector<sim::Simulation::Callback> mailbox_;
+  sim::Simulation::Callback on_exit_;  // published by the stop_ store
   std::atomic<bool> stop_{false};
   std::atomic<uint64_t> idle_blocks_{0};
   std::atomic<uint64_t> wakeups_{0};

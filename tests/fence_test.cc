@@ -90,7 +90,7 @@ class FenceSoakTest : public ::testing::Test {
     o.client.sub_op_timeout_ns = 200 * kMicrosecond;
     o.client.retry_backoff_ns = 5 * kMicrosecond;
     o.client.retry_backoff_max_ns = 200 * kMicrosecond;
-    // epoch_fencing / lease_ttl_ns: defaults (on).
+    // epoch_fencing: default (on); leases always gate two-sided writes.
     o.reclaim_notice = 4 * kMillisecond;
     Testbed tb(o);
     tb.EnableInvariantChecks();
@@ -456,7 +456,7 @@ TEST_F(LeaseTest, LapsedLeaseDefersWriteUntilRenewal) {
   burst(0);
   ASSERT_TRUE(RunUntil(tb, [&] { return done == 8; }));
 
-  // Idle far past the lease TTL (1 ms default): the lease lapses with
+  // Idle far past the lease TTL (fixed at 1 ms): the lease lapses with
   // no renewal traffic to piggyback on.
   tb.sim().RunFor(5 * kMillisecond);
 
@@ -469,39 +469,6 @@ TEST_F(LeaseTest, LapsedLeaseDefersWriteUntilRenewal) {
   EXPECT_GE(st->lease_renewals, 1u)
       << "an explicit kLease grant should have re-armed the lease";
   EXPECT_EQ(st->errors, 0u);
-}
-
-// lease_ttl_ns = 0 disables lease gating entirely: the same idle
-// pattern defers nothing (the NIC/server epoch check remains the hard
-// fence).
-TEST_F(LeaseTest, ZeroTtlDisablesLeaseGating) {
-  TestbedOptions o = TwoSidedOpts();
-  o.client.lease_ttl_ns = 0;
-  Testbed tb(o);
-  auto id_or = tb.client().CreateWithConfig(
-      512 * kKiB, RdmaConfig{1, 1, 8, 4}, 64);
-  ASSERT_TRUE(id_or.ok());
-  const auto id = *id_or;
-
-  uint8_t rec[64] = {5};
-  int done = 0;
-  auto burst = [&](uint64_t base) {
-    for (uint64_t k = 0; k < 8; k++) {
-      ASSERT_TRUE(tb.client().Write(id, base + k * 64, rec, sizeof(rec),
-                                    [&](Status st) {
-                                      EXPECT_TRUE(st.ok());
-                                      done++;
-                                    }).ok());
-    }
-  };
-  burst(0);
-  ASSERT_TRUE(RunUntil(tb, [&] { return done == 8; }));
-  tb.sim().RunFor(5 * kMillisecond);
-  burst(1024);
-  ASSERT_TRUE(RunUntil(tb, [&] { return done == 16; }));
-
-  const auto* st = tb.client().stats(id);
-  EXPECT_EQ(st->lease_expirations, 0u);
 }
 
 // --- Cutover fencing --------------------------------------------------------

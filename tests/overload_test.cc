@@ -19,6 +19,7 @@
 #include "redy/cache_client.h"
 #include "redy/overload.h"
 #include "redy/testbed.h"
+#include "transport/loopback.h"
 
 namespace redy {
 namespace {
@@ -129,6 +130,169 @@ class OverloadTest : public ::testing::Test {
     EXPECT_TRUE(vm.ok());
     return tb.allocator().Find(*vm)->server;
   }
+
+  /// What one run of the kBusy-pushback load saw, on both sides.
+  struct PushbackOutcome {
+    int failed = 0;
+    uint64_t busy_pushbacks = 0;
+    uint64_t retries = 0;
+    uint64_t breaker_trips = 0;
+    uint64_t brownout_trips = 0;
+    uint64_t busy_shed_ops = 0;
+    uint64_t credit_throttled_grants = 0;
+  };
+
+  static constexpr int kWarmWrites = 256;
+  static constexpr int kPushbackWrites = 32;
+
+  /// Stalls a cache server's NIC while all four client connections
+  /// stage batches, so they land in one poll sweep: the ready backlog
+  /// reaches the high shed watermark (4) at once.
+  static void RunPushbackLoad(bool govern, PushbackOutcome* out) {
+    TestbedOptions o = BaseOpts();
+    o.client.govern_overload = govern;
+    o.client.max_retries = 10;
+    o.client.retry_backoff_ns = 5 * kMicrosecond;
+    o.client.retry_backoff_max_ns = 200 * kMicrosecond;
+    o.client.sub_op_timeout_ns = 2 * kMillisecond;
+    Testbed tb(o);
+    // Four client threads (= four connections on the server's poll
+    // sweep, which is what the backlog watermarks count), two-sided
+    // rings with b = 2 ops per batch, q = 4 slots.
+    auto id_or =
+        tb.client().CreateWithConfig(2 * kMiB, RdmaConfig{4, 1, 2, 4}, 64);
+    ASSERT_TRUE(id_or.ok());
+    const net::ServerId node = NodeOfRegion(tb, *id_or, 0);
+    auto vm_or = tb.client().RegionVm(*id_or, 0);
+    ASSERT_TRUE(vm_or.ok());
+    CacheServer* server = tb.manager().ServerFor(*vm_or);
+    ASSERT_NE(server, nullptr);
+
+    // Warmup: establish all four connections before the stall (the
+    // connect handshake itself crosses the server NIC), and earn the
+    // retry budget (a fixed fraction of fresh traffic) that absorbs
+    // the pushback below.
+    char buf[kRecord] = {5};
+    int warm = 0;
+    for (uint32_t i = 0; i < kWarmWrites; i++) {
+      ASSERT_TRUE(tb.client()
+                      .Write(*id_or, 1 * kMiB + i * kRecord, buf, kRecord,
+                             [&](Status st) {
+                               EXPECT_TRUE(st.ok()) << st.ToString();
+                               warm++;
+                             },
+                             /*app_thread=*/i % 4)
+                      .ok());
+      if (i % 4 == 3) tb.sim().RunFor(5 * kMicrosecond);
+    }
+    ASSERT_TRUE(RunUntil(tb, [&] { return warm == kWarmWrites; }));
+
+    // Stall the server NIC while a batch per connection is staged: when
+    // the stall lifts they all land at once, the ready backlog crosses
+    // the watermarks, and a governed server sheds with kBusy instead of
+    // queueing.
+    chaos::FaultInjector::Options copts;
+    copts.servers = {node};
+    auto* chaos = tb.EnableChaos(copts);
+    chaos->AddStall(node, tb.sim().Now(), 200 * kMicrosecond);
+
+    int completed = 0;
+    for (int i = 0; i < kPushbackWrites; i++) {
+      ASSERT_TRUE(tb.client()
+                      .Write(*id_or, i * kRecord, buf, kRecord,
+                             [&](Status st) {
+                               completed++;
+                               if (!st.ok()) out->failed++;
+                             },
+                             /*app_thread=*/i % 4)
+                      .ok());
+    }
+    ASSERT_TRUE(RunUntil(tb, [&] { return completed == kPushbackWrites; }));
+
+    const auto* stats = tb.client().stats(*id_or);
+    out->busy_pushbacks = stats->busy_pushbacks;
+    out->retries = stats->retries;
+    out->breaker_trips = stats->breaker_trips;
+    out->brownout_trips = stats->brownout_trips;
+    out->busy_shed_ops = server->busy_shed_ops();
+    out->credit_throttled_grants = server->credit_throttled_grants();
+  }
+
+  static void ExpectOneSwitch(const PushbackOutcome& off,
+                              const PushbackOutcome& on) {
+    EXPECT_EQ(off.busy_shed_ops, 0u);
+    EXPECT_EQ(off.credit_throttled_grants, 0u);
+    EXPECT_EQ(off.busy_pushbacks, 0u);
+    EXPECT_EQ(off.breaker_trips, 0u);
+    EXPECT_EQ(off.brownout_trips, 0u);
+    EXPECT_GT(on.busy_shed_ops, 0u);
+    EXPECT_GT(on.credit_throttled_grants, 0u);
+  }
+
+  /// The same load on the socket backend. It has no fault injector, so
+  /// a slow server stands in for the stall: at 100 us of CPU per batch,
+  /// connections' next batches are ready by the following sweep. Wall
+  /// time decides how many, so the tenant is priority 2, which a
+  /// governed server sheds from the low watermark (2) on.
+  static void RunLoopbackPushbackLoad(bool govern, PushbackOutcome* out) {
+    transport::LoopbackRigOptions o;
+    o.servers_per_rack = 4;
+    o.client.region_bytes = 2 * kMiB;
+    o.client.govern_overload = govern;
+    o.client.max_retries = 10;
+    o.client.retry_backoff_ns = 5 * kMicrosecond;
+    o.client.retry_backoff_max_ns = 200 * kMicrosecond;
+    o.costs.server_batch_overhead_ns = 100 * kMicrosecond;
+    transport::LoopbackRig rig(o);
+    CacheClient& client = rig.client();
+    Result<CacheClient::CacheId> id_or = Status::Internal("unset");
+    CacheServer* server = nullptr;
+    rig.Call([&] {
+      id_or = client.CreateWithConfig(2 * kMiB, RdmaConfig{4, 1, 2, 4}, 64);
+      if (!id_or.ok()) return;
+      EXPECT_TRUE(client.SetTenantQuota(*id_or, 0, 0, /*priority=*/2).ok());
+      auto vm_or = client.RegionVm(*id_or, 0);
+      if (vm_or.ok()) server = rig.manager().ServerFor(*vm_or);
+    });
+    ASSERT_TRUE(id_or.ok()) << id_or.status().ToString();
+    ASSERT_NE(server, nullptr);
+
+    // Callbacks and counters live on the loop thread.
+    char buf[kRecord] = {5};
+    int completed = 0;
+    auto submit = [&](int n, uint64_t base) {
+      rig.Call([&] {
+        for (int i = 0; i < n; i++) {
+          EXPECT_TRUE(client
+                          .Write(*id_or, base + i * kRecord, buf, kRecord,
+                                 [&](Status st) {
+                                   completed++;
+                                   if (!st.ok()) out->failed++;
+                                 },
+                                 /*app_thread=*/i % 4)
+                          .ok());
+        }
+      });
+    };
+    // Warmup connects all four client threads.
+    submit(4, 1 * kMiB);
+    ASSERT_TRUE(rig.AwaitTrue([&] { return completed == 4; }));
+    out->failed = 0;
+    completed = 0;
+    submit(kPushbackWrites, 0);
+    ASSERT_TRUE(
+        rig.AwaitTrue([&] { return completed == kPushbackWrites; }, 30'000));
+
+    rig.Call([&] {
+      const auto* stats = client.stats(*id_or);
+      out->busy_pushbacks = stats->busy_pushbacks;
+      out->retries = stats->retries;
+      out->breaker_trips = stats->breaker_trips;
+      out->brownout_trips = stats->brownout_trips;
+      out->busy_shed_ops = server->busy_shed_ops();
+      out->credit_throttled_grants = server->credit_throttled_grants();
+    });
+  }
 };
 
 TEST_F(OverloadTest, TenantQuotaFailsFastAndIsAccounted) {
@@ -172,9 +336,7 @@ TEST_F(OverloadTest, FullSubmitRingSurfacesBackpressureWithoutAborting) {
   // Satellite of DESIGN.md §12: a full client batch ring used to be a
   // REDY_CHECK abort; it must now surface as ResourceExhausted while
   // every accepted op still completes.
-  TestbedOptions o = BaseOpts();
-  o.client.batch_ring_capacity = 8;
-  Testbed tb(o);
+  Testbed tb(BaseOpts());
   auto id_or =
       tb.client().CreateWithConfig(2 * kMiB, RdmaConfig{1, 0, 1, 8}, 64);
   ASSERT_TRUE(id_or.ok());
@@ -182,8 +344,10 @@ TEST_F(OverloadTest, FullSubmitRingSurfacesBackpressureWithoutAborting) {
   char buf[kRecord] = {3};
   int completed = 0, accepted = 0, rejected = 0;
   // Tight submission loop, no simulation steps in between: the ring
-  // cannot drain, so admissions stop at its capacity.
-  for (int i = 0; i < 32; i++) {
+  // (1 << 14 requests per client thread) cannot drain, so admissions
+  // stop at its capacity. Twice that many fill the whole 2 MiB cache.
+  constexpr int kFlood = 2 << 14;
+  for (int i = 0; i < kFlood; i++) {
     Status st =
         tb.client().Write(*id_or, i * kRecord, buf, kRecord,
                           [&](Status cs) {
@@ -199,88 +363,44 @@ TEST_F(OverloadTest, FullSubmitRingSurfacesBackpressureWithoutAborting) {
   }
   // The ring rounds its capacity up internally; what matters is that
   // admissions stop at it and the overflow is a typed rejection.
-  EXPECT_EQ(accepted + rejected, 32);
+  EXPECT_EQ(accepted + rejected, kFlood);
   EXPECT_GT(rejected, 0) << "the flood must hit the ring limit";
-  EXPECT_LT(accepted, 32);
+  EXPECT_LT(accepted, kFlood);
   ASSERT_TRUE(RunUntil(tb, [&] { return completed == accepted; }));
   EXPECT_EQ(tb.client().stats(*id_or)->errors, 0u);
 }
 
 TEST_F(OverloadTest, BusyPushbackShedsAndClientRetriesAbsorb) {
-  TestbedOptions o = BaseOpts();
-  o.server_overload.busy_pushback = true;
-  o.server_overload.credit_flow = true;
-  o.server_overload.shed_low_watermark = 1;
-  o.server_overload.shed_high_watermark = 2;
-  o.client.credit_flow = true;
-  o.client.max_retries = 10;
-  o.client.retry_backoff_ns = 5 * kMicrosecond;
-  o.client.retry_backoff_max_ns = 200 * kMicrosecond;
-  o.client.sub_op_timeout_ns = 2 * kMillisecond;
-  Testbed tb(o);
-  // Four client threads (= four connections on the server's poll
-  // sweep, which is what the backlog watermarks count), two-sided
-  // rings with b = 2 ops per batch, q = 4 slots.
-  auto id_or =
-      tb.client().CreateWithConfig(2 * kMiB, RdmaConfig{4, 1, 2, 4}, 64);
-  ASSERT_TRUE(id_or.ok());
-  const net::ServerId node = NodeOfRegion(tb, *id_or, 0);
-  auto vm_or = tb.client().RegionVm(*id_or, 0);
-  ASSERT_TRUE(vm_or.ok());
-  CacheServer* server = tb.manager().ServerFor(*vm_or);
-  ASSERT_NE(server, nullptr);
-
-  // Warmup: establish all four connections before the stall (the
-  // connect handshake itself crosses the server NIC).
-  char buf[kRecord] = {5};
-  int warm = 0;
-  for (uint32_t t = 0; t < 4; t++) {
-    ASSERT_TRUE(tb.client()
-                    .Write(*id_or, 1 * kMiB + t * kRecord, buf, kRecord,
-                           [&](Status st) {
-                             EXPECT_TRUE(st.ok()) << st.ToString();
-                             warm++;
-                           },
-                           t)
-                    .ok());
-  }
-  ASSERT_TRUE(RunUntil(tb, [&] { return warm == 4; }));
-
-  // Stall the server NIC while a batch per connection is staged: when
-  // the stall lifts they all land at once, the ready backlog crosses
-  // the watermarks, and the server sheds with kBusy instead of queueing.
-  chaos::FaultInjector::Options copts;
-  copts.servers = {node};
-  auto* chaos = tb.EnableChaos(copts);
-  chaos->AddStall(node, tb.sim().Now(), 200 * kMicrosecond);
-
-  int completed = 0, failed = 0;
-  for (int i = 0; i < 8; i++) {
-    ASSERT_TRUE(tb.client()
-                    .Write(*id_or, i * kRecord, buf, kRecord,
-                           [&](Status st) {
-                             completed++;
-                             if (!st.ok()) failed++;
-                           },
-                           /*app_thread=*/i % 4)
-                    .ok());
-  }
-  ASSERT_TRUE(RunUntil(tb, [&] { return completed == 8; }));
-  EXPECT_EQ(failed, 0) << "busy-backoff retries absorb the pushback";
-
-  const auto* stats = tb.client().stats(*id_or);
-  EXPECT_GT(stats->busy_pushbacks, 0u) << "client saw explicit kBusy";
-  EXPECT_GT(stats->retries, 0u);
-  EXPECT_GT(server->busy_shed_ops(), 0u) << "server shed instead of queueing";
-  EXPECT_GT(server->credit_throttled_grants(), 0u)
+  PushbackOutcome out;
+  ASSERT_NO_FATAL_FAILURE(RunPushbackLoad(/*govern=*/true, &out));
+  EXPECT_EQ(out.failed, 0) << "busy-backoff retries absorb the pushback";
+  EXPECT_GT(out.busy_pushbacks, 0u) << "client saw explicit kBusy";
+  EXPECT_GT(out.retries, 0u);
+  EXPECT_GT(out.busy_shed_ops, 0u) << "server shed instead of queueing";
+  EXPECT_GT(out.credit_throttled_grants, 0u)
       << "backlog shrank the granted send window";
+}
+
+// govern_overload is the one switch for both halves, on both backends:
+// the same load trips nothing anywhere with it off, and engages the
+// server's kBusy pushback and credit grants with it on.
+TEST_F(OverloadTest, OneSwitchGovernsClientAndServer) {
+  PushbackOutcome off, on;
+  ASSERT_NO_FATAL_FAILURE(RunPushbackLoad(/*govern=*/false, &off));
+  ASSERT_NO_FATAL_FAILURE(RunPushbackLoad(/*govern=*/true, &on));
+  ExpectOneSwitch(off, on);
+}
+
+TEST_F(OverloadTest, OneSwitchGovernsClientAndServerOverSockets) {
+  PushbackOutcome off, on;
+  ASSERT_NO_FATAL_FAILURE(RunLoopbackPushbackLoad(/*govern=*/false, &off));
+  ASSERT_NO_FATAL_FAILURE(RunLoopbackPushbackLoad(/*govern=*/true, &on));
+  ExpectOneSwitch(off, on);
 }
 
 TEST_F(OverloadTest, CircuitBreakerTripsShedsThenProbesBackIn) {
   TestbedOptions o = BaseOpts();
-  o.client.circuit_breakers = true;
-  o.client.breaker_trip_failures = 2;
-  o.client.breaker_open_ns = 300 * kMicrosecond;
+  o.client.govern_overload = true;
   o.client.max_retries = 0;  // surface every failure to the breaker fast
   Testbed tb(o);
   auto id_or =
@@ -306,13 +426,16 @@ TEST_F(OverloadTest, CircuitBreakerTripsShedsThenProbesBackIn) {
     return result;
   };
 
-  // Two transport failures on the downed link trip the breaker...
-  EXPECT_FALSE(one_write(0).ok());
-  EXPECT_FALSE(one_write(kRecord).ok());
+  // Six consecutive transport failures on the downed link trip the
+  // breaker (five do not)...
+  for (uint64_t i = 0; i < 5; i++) EXPECT_FALSE(one_write(i * kRecord).ok());
   const auto* stats = tb.client().stats(*id_or);
+  EXPECT_EQ(stats->breaker_trips, 0u);
+  EXPECT_FALSE(one_write(5 * kRecord).ok());
+  stats = tb.client().stats(*id_or);
   ASSERT_GE(stats->breaker_trips, 1u);
   // ...after which ops shed client-side without touching the wire.
-  EXPECT_TRUE(one_write(2 * kRecord).IsUnavailable());
+  EXPECT_TRUE(one_write(6 * kRecord).IsUnavailable());
   stats = tb.client().stats(*id_or);
   EXPECT_GE(stats->shed_ops, 1u);
   EXPECT_EQ(stats->shed_bytes, stats->shed_ops * kRecord);
@@ -320,23 +443,22 @@ TEST_F(OverloadTest, CircuitBreakerTripsShedsThenProbesBackIn) {
   // Past the flap and the open window, the half-open probe recloses the
   // breaker and fresh traffic flows.
   tb.sim().RunFor(500 * kMicrosecond);
-  EXPECT_TRUE(one_write(3 * kRecord).ok());
+  EXPECT_TRUE(one_write(7 * kRecord).ok());
   stats = tb.client().stats(*id_or);
   EXPECT_GE(stats->breaker_probes, 1u);
-  EXPECT_TRUE(one_write(4 * kRecord).ok());
+  EXPECT_TRUE(one_write(8 * kRecord).ok());
 }
 
 TEST_F(OverloadTest, BrownoutShedsLowPriorityByteExact) {
   TestbedOptions o = BaseOpts();
-  o.client.brownout = true;
-  o.client.brownout_trip_signals = 4;
-  o.client.brownout_window_ns = 200 * kMicrosecond;
-  o.client.brownout_duration_ns = 500 * kMicrosecond;
+  o.client.govern_overload = true;
   o.client.sub_op_timeout_ns = 100 * kMicrosecond;
   o.client.max_retries = 0;
   Testbed tb(o);
+  // Four client threads of eight in-flight ops each: one stall strands
+  // 32 ops, past the 24 signals that trip the brownout.
   auto hi_or =
-      tb.client().CreateWithConfig(2 * kMiB, RdmaConfig{1, 0, 1, 8}, 64);
+      tb.client().CreateWithConfig(2 * kMiB, RdmaConfig{4, 0, 1, 8}, 64);
   auto low_or =
       tb.client().CreateWithConfig(2 * kMiB, RdmaConfig{1, 0, 1, 8}, 64);
   ASSERT_TRUE(hi_or.ok() && low_or.ok());
@@ -354,10 +476,11 @@ TEST_F(OverloadTest, BrownoutShedsLowPriorityByteExact) {
 
   char buf[kRecord] = {11};
   int completed = 0;
-  for (int i = 0; i < 6; i++) {
+  for (uint32_t i = 0; i < 32; i++) {
     ASSERT_TRUE(tb.client()
                     .Write(*hi_or, i * kRecord, buf, kRecord,
-                           [&](Status) { completed++; })
+                           [&](Status) { completed++; },
+                           /*app_thread=*/i % 4)
                     .ok());
   }
   ASSERT_TRUE(RunUntil(tb, [&] {
@@ -426,6 +549,7 @@ struct SoakOutcome {
 
 class OverloadSoakTest : public OverloadTest {
  protected:
+  // The fixed budgets of a governed client (DESIGN.md §12).
   static constexpr double kRetryFraction = 0.2;
   static constexpr double kHedgeFraction = 0.1;
   static constexpr double kMinReserve = 10.0;
@@ -438,19 +562,7 @@ class OverloadSoakTest : public OverloadTest {
     o.client.retry_backoff_ns = 5 * kMicrosecond;
     o.client.retry_backoff_max_ns = 200 * kMicrosecond;
     // Overload machinery, all on.
-    o.client.retry_budget_fraction = kRetryFraction;
-    o.client.hedge_budget_fraction = kHedgeFraction;
-    o.client.budget_min_reserve = kMinReserve;
-    o.client.circuit_breakers = true;
-    o.client.breaker_trip_failures = 4;
-    o.client.breaker_open_ns = 200 * kMicrosecond;
-    o.client.credit_flow = true;
-    o.client.brownout = true;
-    o.client.brownout_trip_signals = 8;
-    o.client.brownout_window_ns = 100 * kMicrosecond;
-    o.client.brownout_duration_ns = 200 * kMicrosecond;
-    o.server_overload.busy_pushback = true;
-    o.server_overload.credit_flow = true;
+    o.client.govern_overload = true;
     return o;
   }
 

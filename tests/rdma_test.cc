@@ -322,6 +322,24 @@ TEST_F(RdmaTest, ServerShutdownFencesInFlightWrites) {
   }
 }
 
+TEST_F(RdmaTest, ServerRegionLookupIsBoundsChecked) {
+  // Revocation can look a region up on an agent that Shutdown already
+  // emptied; out-of-range indices must read as "no region", never as a
+  // stale pointer.
+  cluster::Vm vm;
+  vm.id = 1;
+  vm.server = 1;
+  vm.memory_bytes = 64 * kMiB;
+  redy::CacheServer server(&sim_, &fabric_, vm, redy::CostModel{});
+  ASSERT_TRUE(server.AllocateRegions(2, 4096).ok());
+  EXPECT_NE(server.region(0), nullptr);
+  EXPECT_NE(server.region(1), nullptr);
+  EXPECT_EQ(server.region(2), nullptr);
+  server.Shutdown();
+  EXPECT_EQ(server.num_regions(), 0u);
+  EXPECT_EQ(server.region(0), nullptr);
+}
+
 TEST_F(RdmaTest, SendRecvDeliversToPostedBuffer) {
   MemoryRegion* src = client_nic_->RegisterMemory(4096);
   MemoryRegion* dst = server_nic_->RegisterMemory(4096);

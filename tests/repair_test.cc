@@ -186,6 +186,88 @@ TEST_F(RepairTest, RepairFailsWhenSourceDeadlinePassesMidCopy) {
   EXPECT_TRUE(tb.CheckInvariantsNow().empty());
 }
 
+// A migration that takes a region over while its replica repair is
+// still copying owns the region's write pause from then on. The repair
+// copy ending must neither release writes against the old placement
+// (the migration already revoked it) nor install a replica copied
+// before the migration's swap (it would miss every later write).
+TEST_F(RepairTest, MigrationTakingOverMidRepairOwnsWritesAndReplica) {
+  TestbedOptions o = Opts();
+  o.reclaim_notice = 30 * kMillisecond;
+  Testbed tb(o);
+  tb.EnableInvariantChecks();
+  auto id_or = tb.client().CreateReplicated(2 * kMiB, RdmaConfig{1, 0, 1, 8},
+                                            64, /*spot=*/true);
+  ASSERT_TRUE(id_or.ok()) << id_or.status().ToString();
+  const auto id = *id_or;
+  auto node_of = [&](uint32_t vregion) {
+    auto vm = tb.client().RegionVm(id, vregion);
+    EXPECT_TRUE(vm.ok());
+    return tb.allocator().Find(*vm)->server;
+  };
+
+  // Lose the primary (the repair starts copying out of the promoted
+  // replica), then reclaim the promoted primary so a migration of the
+  // same region starts while the repair copy runs.
+  tb.FailNode(node_of(0));
+  tb.sim().RunFor(100 * kMicrosecond);
+  auto promoted = tb.client().RegionVm(id, 0);
+  ASSERT_TRUE(promoted.ok());
+  ASSERT_TRUE(tb.allocator().Reclaim(*promoted).ok());
+
+  // One fresh record every 50 us across both copies and past them;
+  // max_retries = 0, so a fenced write would surface as-is.
+  struct Tally {
+    uint64_t done = 0;
+    uint64_t failed = 0;
+    uint64_t fenced = 0;
+  } tally;
+  constexpr int kWrites = 200;
+  std::vector<std::vector<uint8_t>> recs(kWrites, std::vector<uint8_t>(64));
+  for (int i = 0; i < kWrites; i++) {
+    for (uint64_t j = 0; j < 64; j++) {
+      recs[i][j] = static_cast<uint8_t>(i * 31 + j * 7 + 1);
+    }
+    const uint64_t addr = static_cast<uint64_t>(i) * 64;
+    const uint8_t* data = recs[i].data();
+    ASSERT_TRUE(tb.client()
+                    .Write(id, addr, data, 64,
+                           [&tb, t = &tally, id, addr, data](Status st) {
+                             t->done++;
+                             if (st.IsProtectionError()) t->fenced++;
+                             if (!st.ok()) {
+                               t->failed++;
+                               return;
+                             }
+                             tb.RecordAckedBytes(id, addr, data, 64);
+                           })
+                    .ok());
+    tb.sim().RunFor(50 * kMicrosecond);
+  }
+  ASSERT_TRUE(RunUntil(tb, [&] { return tally.done == kWrites; }));
+  EXPECT_EQ(tally.fenced, 0u) << "parked writes released onto the revoked "
+                                 "old placement";
+  EXPECT_EQ(tally.failed, 0u);
+
+  ASSERT_TRUE(RunUntil(tb, [&] {
+    return AllReplicated(tb, id, 1) && tb.client().PendingRecoveries() == 0;
+  }));
+  ASSERT_EQ(tb.client().migrations().size(), 1u);
+  EXPECT_FALSE(tb.client().migrations()[0].data_lost);
+  EXPECT_EQ(tb.client().stats(id)->repairs_completed, 1u);
+
+  // Fail over to the repaired replica: it must hold every acked write,
+  // including the ones made after the migration's swap.
+  tb.FailNode(node_of(0));
+  ASSERT_TRUE(RunUntil(tb, [&] {
+    return AllReplicated(tb, id, 1) && tb.client().PendingRecoveries() == 0;
+  }));
+  EXPECT_GT(tb.invariant_checks(), 0u);
+  EXPECT_TRUE(tb.invariant_violations().empty())
+      << tb.invariant_violations()[0];
+  EXPECT_TRUE(tb.CheckInvariantsNow().empty());
+}
+
 class RepairCapacityTest : public RepairTest {
  protected:
   /// A four-server cluster (app node + three) where every server fits
